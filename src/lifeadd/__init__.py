@@ -13,6 +13,10 @@ Building blocks:
 * scenario / report / cli: scenario files, metrics and the command line.
 """
 
+# Set before the submodule imports: report reads it while the package is
+# still initializing, and pyproject.toml reads it as the package version.
+__version__ = "0.1.0"
+
 from .energy import (DeviceBudget, EnergyProfile, InfeasibleLifetime,
                      battery_level, energy_budget, joules_from_mah,
                      max_feasible_lifetime)
@@ -23,9 +27,8 @@ from .formulas import (ContentionParams, RateVector, attempt_probability,
                        throughput)
 from .kernel import (CausalityViolation, Event, EventKind, EventQueue,
                      RandomStream, sample_exponential)
-from .mac import (BeaconPayload, DcfParams, NoBeacon,
-                  ap_gather_and_broadcast, device_rate_selection,
-                  run_baseline_dcf, run_config, run_lifeadd)
+from .mac import (DcfParams, run_baseline_dcf, run_config, run_lifeadd,
+                  select_rates)
 from .renewal import simulate_cycles, validate_against_formulas
 from .report import (AllZero, SimReport, emit_report, jain_index,
                      total_utility)
@@ -36,5 +39,3 @@ from .solver import (DegenerateBudget, NoFeasiblePoint, OracleResult,
                      assign_rates, brute_force_oracle, optimal_total_rate,
                      optimality_bounds, solve_subunit, water_filling_level)
 from .topology import Ranges, Topology, UnassociatedDevice, build_topology
-
-__version__ = "0.1.0"

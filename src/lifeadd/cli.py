@@ -67,21 +67,23 @@ def cmd_solve(args) -> int:
     config = _load(args.scenario)
     topology = config.build_topology()
     effs = config.efficiencies()
-    rates, payloads = select_rates(topology, effs, config.contention)
+    rates, per_ap = select_rates(topology, effs, config.contention)
     ids = config.device_ids()
 
     ap_block = []
-    for ap_idx, ap in enumerate(config.aps):
-        payload = payloads[ap_idx]
-        members = [int(d) for d in topology.devices_heard_by(ap_idx)]
-        assignment = assign_rates([effs[d] for d in members],
-                                  config.contention)
+    for ap, plan in zip(config.aps, per_ap):
+        if plan is None:  # hears no device
+            ap_block.append({"id": ap.id, "case": None, "c_star": None,
+                             "y_star": None, "rates": {}})
+            continue
+        members, assignment = plan
         ap_block.append({
             "id": ap.id,
             "case": assignment.case,
-            "c_star": payload.c_star,
-            "y_star": payload.y_star,
-            "rates": {ids[d]: assignment.rate_for(effs[d]) for d in members},
+            "c_star": assignment.c_star,
+            "y_star": assignment.y_star,
+            "rates": {ids[d]: rate for d, rate in
+                      zip(members, assignment.rates.rates.tolist())},
         })
 
     device_block = []
@@ -176,8 +178,7 @@ def cmd_simulate(args) -> int:
 def cmd_validate(args) -> int:
     config = _load(args.scenario)
     topology = config.build_topology()
-    off_diag = ~np.eye(topology.n_devices, dtype=bool)
-    if topology.n_devices > 1 and not topology.device_senses_device[off_diag].all():
+    if not topology.single_collision_domain:
         raise CliError(
             "validate requires all devices within sensing range of each other")
     effs = config.efficiencies()

@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .energy import EnergyProfile
 from .formulas import ContentionParams
 from .kernel import (PRNG_ID, Event, EventKind, EventQueue, RandomStream,
@@ -47,48 +45,6 @@ LIFEADD = "lifeadd"
 DCF = "dcf"
 RENEWAL = "renewal"
 REALISTIC = "realistic"
-
-
-class NoBeacon(ValueError):
-    """A device received no beacon to derive its sleep rate from."""
-
-
-@dataclass(frozen=True)
-class BeaconPayload:
-    """Water level and total rate an AP advertises to nearby devices."""
-
-    ap: int
-    c_star: float
-    y_star: float
-
-
-def device_rate_selection(beacons, efficiency: float) -> float:
-    """Sleep rate a device adopts: the smallest suggestion it hears.
-
-    Each beacon yields min(efficiency, c_star) * y_star; taking the
-    minimum makes the device defer to the most contended AP around it.
-    """
-    rates = [min(efficiency, b.c_star) * b.y_star for b in beacons]
-    if not rates:
-        raise NoBeacon("device heard no beacon")
-    return min(rates)
-
-
-def ap_gather_and_broadcast(ap: int, topology: Topology, efficiencies,
-                            params: ContentionParams,
-                            include=None) -> BeaconPayload:
-    """Solve the rate assignment over every device the AP can hear.
-
-    ``efficiencies`` covers all devices in the topology; ``include``
-    optionally masks devices (e.g. dead or legacy ones) out of the
-    gathering.
-    """
-    members = [int(d) for d in topology.devices_heard_by(ap)
-               if include is None or include[d]]
-    if not members:
-        raise NoBeacon(f"AP {ap} hears no participating device")
-    assignment = assign_rates([efficiencies[d] for d in members], params)
-    return BeaconPayload(ap, assignment.c_star, assignment.y_star)
 
 
 @dataclass
@@ -138,7 +94,6 @@ class _Device:
         self.assigned_rate = 0.0
         self.initial_rate = 0.0
         self.congestion_factor = 1
-        self.per_ap_rate: dict[int, float] = {}
         self.current_tx: _Transmission | None = None
         self.tx_is_success = False
         # DCF state
@@ -200,16 +155,12 @@ class Simulation:
                            for a in range(topology.n_aps)]
         self.active_tx: list[_Transmission] = []
         self.active_acks: list[_Ack] = []
-        self.ap_beacons: dict[int, BeaconPayload] = {}
-        self.ap_members: dict[int, tuple[int, ...]] = {}
         self.membership_dirty = False
 
         if mode == RENEWAL:
             if any(d.mac != LIFEADD for d in self.devices):
                 raise ValueError("renewal mode requires every AP on lifeadd")
-            sensing = self.topology.device_senses_device
-            n = self.topology.n_devices
-            if n > 1 and not sensing[~np.eye(n, dtype=bool)].all():
+            if not topology.single_collision_domain:
                 raise ValueError(
                     "renewal mode requires all devices to sense each other")
 
@@ -226,8 +177,7 @@ class Simulation:
         level = dev.battery - rate * dt
         if level <= 0.0 and rate > 0:
             overshoot = -level
-            dev.death_ns = now_ns - seconds_to_ns(overshoot / rate)
-            self._kill(dev)
+            self._kill(dev, now_ns - seconds_to_ns(overshoot / rate))
             return
         dev.battery = min(max(level, 0.0), dev.profile.battery_capacity)
         dev.last_drain_ns = now_ns
@@ -249,19 +199,18 @@ class Simulation:
                      - dev.profile.recharge_rate)
             if window_start_ns is not None and total > 0:
                 undershoot = -dev.battery
-                dev.death_ns = max(window_start_ns,
-                                   now_ns - seconds_to_ns(undershoot / total))
+                self._kill(dev, max(window_start_ns,
+                                    now_ns - seconds_to_ns(undershoot / total)))
             else:
-                dev.death_ns = now_ns
-            self._kill(dev)
+                self._kill(dev, now_ns)
 
-    def _kill(self, dev: _Device) -> None:
-        dev.mark_rate(dev.death_ns if dev.death_ns is not None
-                      else self.queue.now)
+    def _kill(self, dev: _Device, death_ns: int) -> None:
+        dev.death_ns = death_ns
+        dev.mark_rate(death_ns)
         dev.battery = 0.0
         dev.alive = False
         self.membership_dirty = True
-        self._emit_trace(dev.death_ns or self.queue.now, "dead", dev.idx, "")
+        self._emit_trace(death_ns, "dead", dev.idx, "")
 
     # -- channel --------------------------------------------------------
 
@@ -521,63 +470,30 @@ class Simulation:
 
     # -- beacons / rate control ------------------------------------------
 
-    def _gather_members(self, ap: int) -> tuple[int, ...]:
-        return tuple(
-            int(d) for d in self.topology.devices_heard_by(ap)
-            if self.devices[d].alive and self.devices[d].mac == LIFEADD)
-
-    def _recompute_beacon(self, ap: int) -> None:
-        members = self._gather_members(ap)
-        if not members:
-            self.ap_beacons.pop(ap, None)
-            self.ap_members[ap] = members
-            return
-        if self.ap_members.get(ap) == members and ap in self.ap_beacons:
-            return
-        assignment = assign_rates(
-            [self.devices[d].efficiency for d in members], self.params)
-        self.ap_beacons[ap] = BeaconPayload(ap, assignment.c_star,
-                                            assignment.y_star)
-        self.ap_members[ap] = members
-
-    def _broadcast(self, ap: int, now_ns: int) -> None:
-        payload = self.ap_beacons.get(ap)
-        if payload is None:
-            return
-        for d in self.topology.devices_heard_by(ap):
-            dev = self.devices[int(d)]
-            if not dev.alive or dev.mac != LIFEADD:
-                continue
-            dev.per_ap_rate[ap] = min(dev.efficiency,
-                                      payload.c_star) * payload.y_star
-            new_rate = min(dev.per_ap_rate.values())
-            if new_rate != dev.assigned_rate:
-                dev.mark_rate(now_ns)
-                dev.assigned_rate = new_rate
+    def _plan_rates(self) -> None:
+        """Solve the rate plan over the alive Life-Add devices."""
+        include = [d.alive and d.mac == LIFEADD for d in self.devices]
+        self.planned_rates, self.ap_plans = select_rates(
+            self.topology, [d.efficiency for d in self.devices], self.params,
+            include)
+        self.membership_dirty = False
 
     def _on_beacon(self, ap: int, now_ns: int) -> None:
+        """Re-plan after a death, then hand out the plan to the AP's devices.
+
+        Every AP's beacons of one period share a timestamp and run back to
+        back, so each device adopts its new rate before any other event.
+        """
         if self.membership_dirty:
-            for a in range(self.topology.n_aps):
-                self._recompute_beacon(a)
-            self.membership_dirty = False
-        self._broadcast(ap, now_ns)
+            self._plan_rates()
+        for d in self.topology.devices_heard_by(ap):
+            dev = self.devices[d]
+            if (dev.alive and dev.mac == LIFEADD
+                    and self.planned_rates[d] != dev.assigned_rate):
+                dev.mark_rate(now_ns)
+                dev.assigned_rate = self.planned_rates[d]
         self.queue.schedule(now_ns + self.beacon_period_ns, EventKind.BEACON,
                             ap=ap)
-
-    def _initial_rates(self) -> None:
-        for ap in range(self.topology.n_aps):
-            self._recompute_beacon(ap)
-        for dev in self.devices:
-            if dev.mac != LIFEADD:
-                continue
-            beacons = [self.ap_beacons[int(a)]
-                       for a in self.topology.beacon_sources(dev.idx)
-                       if int(a) in self.ap_beacons]
-            dev.assigned_rate = device_rate_selection(beacons, dev.efficiency)
-            dev.initial_rate = dev.assigned_rate
-            for b in beacons:
-                dev.per_ap_rate[b.ap] = min(dev.efficiency,
-                                            b.c_star) * b.y_star
 
     # -- renewal-mode cycle engine ----------------------------------------
 
@@ -628,7 +544,10 @@ class Simulation:
             self.trace.write(f"{time_ns}\t{kind}\t{device}\t{detail}\n")
 
     def run(self) -> SimReport:
-        self._initial_rates()
+        self._plan_rates()
+        for dev, rate in zip(self.devices, self.planned_rates):
+            if dev.mac == LIFEADD:
+                dev.assigned_rate = dev.initial_rate = rate
         if self.mode == RENEWAL:
             self.queue.schedule(0, EventKind.CYCLE_START)
         else:
@@ -640,7 +559,7 @@ class Simulation:
                     dev.residual_slots = dev.stream.integers(0, dev.cw)
                     self._dcf_decide(dev, 0)
             for ap in range(self.topology.n_aps):
-                if self._gather_members(ap):
+                if self.ap_plans[ap] is not None:
                     self.queue.schedule(self.beacon_period_ns,
                                         EventKind.BEACON, ap=ap)
 
@@ -718,19 +637,31 @@ class Simulation:
         return ns_to_seconds(self.duration_ns) + dev.battery / net
 
 
-def select_rates(topology: Topology, efficiencies,
-                 params: ContentionParams) -> tuple[list[float],
-                                                    dict[int, BeaconPayload]]:
-    """Static rate selection: per-AP assignments, then per-device minimum."""
-    payloads = {ap: ap_gather_and_broadcast(ap, topology, efficiencies, params)
-                for ap in range(topology.n_aps)}
-    rates = [
-        device_rate_selection(
-            [payloads[int(a)] for a in topology.beacon_sources(d)],
-            float(efficiencies[d]))
-        for d in range(topology.n_devices)
-    ]
-    return rates, payloads
+def select_rates(topology: Topology, efficiencies, params: ContentionParams,
+                 include=None) -> tuple[list[float | None], list]:
+    """The rate plan: per-AP assignments, then each device's minimum.
+
+    Every AP solves the assignment over the devices it hears, masked by
+    ``include`` (all devices when None); a device adopts the smallest
+    rate any of those assignments gives it, deferring to the most
+    contended AP around it.  Returns ``(rates, per_ap)``: ``rates[d]`` is
+    None for a device no AP includes, and ``per_ap[ap]`` is
+    ``(members, assignment)`` or None when the AP includes no device.
+    """
+    rates: list[float | None] = [None] * topology.n_devices
+    per_ap = []
+    for ap in range(topology.n_aps):
+        members = [int(d) for d in topology.devices_heard_by(ap)
+                   if include is None or include[d]]
+        if not members:
+            per_ap.append(None)
+            continue
+        assignment = assign_rates([efficiencies[d] for d in members], params)
+        per_ap.append((members, assignment))
+        for d, rate in zip(members, assignment.rates.rates.tolist()):
+            if rates[d] is None or rate < rates[d]:
+                rates[d] = rate
+    return rates, per_ap
 
 
 def run_scenario_components(topology, profiles, efficiencies, alphas, macs,

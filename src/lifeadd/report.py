@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SOFTWARE_VERSION = "0.1.0"
+from . import __version__
 
 CSV_COLUMNS = ("device_id", "mac", "mode", "throughput_bps",
                "radio_on_fraction", "lifetime_s", "tx_success",
@@ -79,7 +79,7 @@ class SimReport:
     mean_throughput_bps: float = 0.0
     ack_success_ratio: float = 0.0
     prng: str = ""
-    version: str = SOFTWARE_VERSION
+    version: str = __version__
     duration_s: float = 0.0
 
     def finalize(self) -> "SimReport":
@@ -106,7 +106,7 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         if math.isinf(value):
             return "inf"
-        return repr(value)
+        return repr(float(value))  # numpy scalars repr as np.float64(...)
     return str(value)
 
 

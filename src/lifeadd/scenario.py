@@ -13,6 +13,7 @@ Battery quantities accept joules directly or ``{"mah": x, "voltage": v}``
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,7 +51,17 @@ def _require(mapping: dict, path: str, known: dict[str, bool]) -> None:
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParseError(f"{path}: expected a finite number, got {value!r}")
+    return number
+
+
+def _reject_constant(token: str):
+    raise ParseError(f"non-finite number {token} is not JSON")
 
 
 def _integer(value, path: str) -> int:
@@ -182,7 +193,7 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
     """Load, strictly parse, and validate a scenario file."""
     text = Path(path).read_text()
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
@@ -215,6 +226,8 @@ def _build_config(raw: dict) -> ScenarioConfig:
                                 "ranges.interference"),
                         _number(ranges_raw["communication"],
                                 "ranges.communication"))
+    except ParseError:  # malformed, not merely out of range
+        raise
     except ValueError as exc:
         violations.append(f"ranges: {exc}")
         ranges = Ranges(1.0, 1.0, 1.0)
@@ -230,6 +243,8 @@ def _build_config(raw: dict) -> ScenarioConfig:
             _number(cont_raw["ack_time_s"], "contention.ack_time_s"))
         if contention.sensing_time <= 0:
             violations.append("contention.sensing_time_s must be > 0")
+    except ParseError:  # malformed, not merely out of range
+        raise
     except ValueError as exc:
         violations.append(f"contention: {exc}")
         contention = ContentionParams(4e-6, 9e-4, 1e-4)
@@ -315,6 +330,8 @@ def _parse_device(raw: dict, path: str, violations: list[str]) -> DeviceConfig:
                                   path + ".energy.recharge_rate_w"),
             target_lifetime=target,
         )
+    except ParseError:  # malformed, not merely out of range
+        raise
     except ValueError as exc:
         violations.append(f"{path}.energy: {exc}")
         profile = EnergyProfile(1.0, 1.0, 1.0, 0.0)
@@ -408,10 +425,8 @@ def _validate(config: ScenarioConfig, violations: list[str]) -> None:
         except UnassociatedDevice as exc:
             violations.append(str(exc))
         else:
-            if config.mode == "renewal" and len(config.devices) > 1:
-                import numpy as np
-                off = ~np.eye(topo.n_devices, dtype=bool)
-                if not topo.device_senses_device[off].all():
-                    violations.append(
-                        "renewal mode requires all devices within sensing "
-                        "range of each other")
+            if (config.mode == "renewal"
+                    and not topo.single_collision_domain):
+                violations.append(
+                    "renewal mode requires all devices within sensing "
+                    "range of each other")

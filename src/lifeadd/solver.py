@@ -55,10 +55,6 @@ class SleepRateAssignment:
     rates: RateVector
     budgets_used: np.ndarray
 
-    def rate_for(self, efficiency: float) -> float:
-        """Rate a device with the given efficiency derives from this broadcast."""
-        return min(efficiency, self.c_star) * self.y_star
-
 
 def _validated_budgets(efficiencies, allow_zero: bool = False) -> np.ndarray:
     b = np.asarray(efficiencies, dtype=float)

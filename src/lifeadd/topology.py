@@ -79,6 +79,12 @@ class Topology:
     def n_aps(self) -> int:
         return self.ap_positions.shape[0]
 
+    @property
+    def single_collision_domain(self) -> bool:
+        """True when every device senses every other one."""
+        off_diagonal = ~np.eye(self.n_devices, dtype=bool)
+        return bool(self.device_senses_device[off_diagonal].all())
+
     def senses(self, a: int, b: int) -> bool:
         """True when transmitters a and b can detect each other."""
         return bool(self.device_senses_device[a, b])

@@ -136,3 +136,23 @@ def test_compare_runs_and_reports_wins(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["seeds"] == [17, 18]
     assert set(payload["wins"]) == {"lifetime", "throughput", "jain", "ack"}
+
+
+def test_solve_lists_ap_that_hears_no_device(tmp_path, capsys):
+    scenario = json.loads(open(NEAR_FAR).read())
+    scenario["aps"].append({"id": "lonely", "position": [
+        scenario["field_size"] * 10, scenario["field_size"] * 10]})
+    path = tmp_path / "lonely.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = run_cli(capsys, "solve", "--scenario", str(path))
+    assert code == 0 and not err
+    payload = json.loads(out)
+    assert payload["aps"][2] == {"id": "lonely", "case": None,
+                                 "c_star": None, "y_star": None, "rates": {}}
+    _, original, _ = run_cli(capsys, "solve", "--scenario", NEAR_FAR)
+    original = json.loads(original)
+    assert payload["aps"][:2] == original["aps"]
+    assert payload["devices"] == original["devices"]
+    code, _, err = run_cli(capsys, "simulate", "--scenario", str(path),
+                           "--out", str(tmp_path / "report.json"))
+    assert code == 0 and not err

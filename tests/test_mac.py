@@ -7,10 +7,8 @@ import pytest
 
 from lifeadd.energy import EnergyProfile
 from lifeadd.formulas import ContentionParams, success_time_fraction
-from lifeadd.mac import (BeaconPayload, NoBeacon, Simulation,
-                         ap_gather_and_broadcast, device_rate_selection,
-                         run_baseline_dcf, run_config, run_lifeadd,
-                         run_scenario_components, select_rates)
+from lifeadd.mac import (Simulation, run_baseline_dcf, run_config,
+                         run_lifeadd, run_scenario_components, select_rates)
 from lifeadd.report import emit_report
 from lifeadd.scenario import parse_scenario
 from lifeadd.solver import assign_rates, optimal_total_rate
@@ -42,47 +40,57 @@ def run_simple(n, macs=None, mode="renewal", duration=30.0, seed=3,
         mode=mode, trace=trace)
 
 
-# -- rate selection and beacons ------------------------------------------
+# -- the rate plan ---------------------------------------------------------
+
+
+def near_far_plan(include=None):
+    cfg = parse_scenario("scenarios/near_far_pair.json")
+    topo = cfg.build_topology()
+    return select_rates(topo, cfg.efficiencies(), cfg.contention, include)
 
 
 def test_single_beacon_rate_matches_waterfilling_form():
-    payload = BeaconPayload(0, 0.5, 20000.0)
-    assert device_rate_selection([payload], 0.3) == pytest.approx(6000.0)
-    assert device_rate_selection([payload], 0.9) == pytest.approx(10000.0)
+    effs = [0.3, 0.9, 0.9]
+    rates, per_ap = select_rates(single_ap_topology(3), effs, PARAMS)
+    members, assignment = per_ap[0]
+    assert members == [0, 1, 2]
+    assert assignment.c_star == pytest.approx(0.35)
+    assert rates == [min(b, assignment.c_star) * assignment.y_star
+                     for b in effs]
 
 
 def test_two_beacons_take_the_minimum():
-    beacons = [BeaconPayload(0, 1.0, 5000.0), BeaconPayload(1, 1.0, 3000.0)]
-    assert device_rate_selection(beacons, 2.0) == pytest.approx(3000.0)
+    cfg = parse_scenario("scenarios/near_far_pair.json")
+    topo = cfg.build_topology()
+    rates, per_ap = select_rates(topo, cfg.efficiencies(), cfg.contention)
+    offered = {d: [] for d in range(topo.n_devices)}
+    for members, assignment in per_ap:
+        for d, rate in zip(members, assignment.rates.rates):
+            offered[d].append(float(rate))
+    assert len(offered[0]) == 2
+    assert rates == [min(offered[d]) for d in range(topo.n_devices)]
 
 
 def test_min_applies_after_per_beacon_evaluation():
-    # Ordering by raw total rate would pick the other beacon: the first has
-    # the smaller total rate but yields the larger per-device rate.
-    b = 0.4
-    first = BeaconPayload(0, 0.5, 10000.0)    # min(0.4, 0.5) * 10000 = 4000
-    second = BeaconPayload(1, 0.3, 14000.0)   # min(0.4, 0.3) * 14000 = 4200
-    assert first.y_star < second.y_star
-    assert device_rate_selection([first, second], b) == pytest.approx(4000.0)
-
-
-def test_no_beacon_raises():
-    with pytest.raises(NoBeacon):
-        device_rate_selection([], 0.5)
+    # Ordering by raw total rate would pick the other AP: ap0 has the
+    # smaller total rate but offers the near device the larger rate.
+    rates, per_ap = near_far_plan()
+    (_, near), (_, far) = per_ap
+    assert near.y_star < far.y_star
+    assert far.c_star * far.y_star < near.c_star * near.y_star
+    assert rates[0] == far.c_star * far.y_star
 
 
 def test_ap_gathering_over_communication_range():
     cfg = parse_scenario("scenarios/near_far_pair.json")
-    topo = cfg.build_topology()
-    effs = cfg.efficiencies()
+    rates, per_ap = near_far_plan()
     # ap1 hears both devices, ap0 only the near one
-    near = ap_gather_and_broadcast(0, topo, effs, cfg.contention)
-    far = ap_gather_and_broadcast(1, topo, effs, cfg.contention)
+    (near_members, near), (far_members, far) = per_ap
+    assert near_members == [0] and far_members == [0, 1]
     assert near.c_star == pytest.approx(1.0)
     assert near.y_star == pytest.approx(optimal_total_rate(1, cfg.contention))
     assert far.c_star == pytest.approx(0.5)
     assert far.y_star == pytest.approx(optimal_total_rate(2, cfg.contention))
-    rates, _ = select_rates(topo, effs, cfg.contention)
     # the near device adopts the more contended AP's smaller suggestion
     assert rates[0] == pytest.approx(min(near.y_star, 0.5 * far.y_star))
     assert rates[1] == pytest.approx(0.5 * far.y_star)
@@ -90,15 +98,19 @@ def test_ap_gathering_over_communication_range():
 
 def test_gather_include_mask():
     cfg = parse_scenario("scenarios/near_far_pair.json")
-    topo = cfg.build_topology()
-    only_far = ap_gather_and_broadcast(1, topo, cfg.efficiencies(),
-                                       cfg.contention,
-                                       include=[False, True])
+    rates, per_ap = near_far_plan(include=[False, True])
+    assert per_ap[0] is None
+    members, only_far = per_ap[1]
+    assert members == [1]
     assert only_far.y_star == pytest.approx(
         optimal_total_rate(1, cfg.contention))
-    with pytest.raises(NoBeacon):
-        ap_gather_and_broadcast(1, topo, cfg.efficiencies(), cfg.contention,
-                                include=[False, False])
+    assert rates == [None, only_far.y_star]
+
+
+def test_ap_without_included_device_has_no_plan():
+    rates, per_ap = near_far_plan(include=[False, False])
+    assert per_ap == [None, None]
+    assert rates == [None, None]
 
 
 # -- renewal engine vs closed forms ---------------------------------------
@@ -329,3 +341,28 @@ def test_trace_format_is_tab_separated():
         fields = line.split("\t")
         assert len(fields) == 4
         int(fields[0])
+
+
+def test_trace_and_report_agree_on_death_times():
+    empty = EnergyProfile(initial_energy=0.0, battery_capacity=1.5,
+                          radio_on_power=1.0, base_power=0.5)
+    dying = EnergyProfile(initial_energy=1.5, battery_capacity=1.5,
+                          radio_on_power=1.0, base_power=0.5)
+    trace = io.StringIO()
+    rep = run_simple(3, mode="realistic", duration=5.0,
+                     profiles=[empty, dying, big_profile()], trace=trace)
+    traced = {}
+    outcomes = {(d, kind): 0 for d in range(3) for kind in ("ack", "timeout")}
+    for line in trace.getvalue().splitlines():
+        time_ns, kind, device, _ = line.split("\t")
+        if kind == "dead":
+            traced[int(device)] = int(time_ns)
+        elif kind in ("ack", "timeout"):
+            outcomes[int(device), kind] += 1
+    assert traced.keys() == {0, 1}
+    assert traced[0] == 0
+    for d, death_ns in traced.items():
+        assert rep.devices[d].lifetime_s == death_ns / 1e9
+    for d, row in enumerate(rep.devices):
+        assert row.tx_success == outcomes[d, "ack"]
+        assert row.tx_collision == outcomes[d, "timeout"]

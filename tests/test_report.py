@@ -1,5 +1,7 @@
 import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,3 +110,22 @@ def test_same_report_emits_identical_bytes():
 def test_unknown_format_rejected():
     with pytest.raises(ValueError):
         emit_report(sample_report(), "yaml")
+
+
+def test_csv_writes_numpy_floats_as_plain_numbers():
+    rep = sample_report()
+    rep.devices[0].assigned_rate_hz = np.float64(1512.8091872791517)
+    row = emit_report(rep, "csv").decode().splitlines()[1]
+    assert row.split(",")[-2] == "1512.8091872791517"
+
+
+def test_one_version_string():
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    import lifeadd
+    root = Path(__file__).resolve().parent.parent
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # [tool.setuptools] is beta
+        project = read_configuration(root / "pyproject.toml")["project"]
+    assert project["version"] == lifeadd.__version__
+    assert sample_report().version == lifeadd.__version__

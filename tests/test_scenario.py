@@ -162,3 +162,30 @@ def test_checked_in_scenarios_parse():
                  "coexistence_4ap"):
         cfg = parse_scenario(f"scenarios/{name}.json")
         assert cfg.duration_s > 0
+
+
+NON_FINITE = ("NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400)
+
+
+@pytest.mark.parametrize("field", ["number", "position", "energy", "range",
+                                   "timing"])
+def test_non_finite_values_rejected(tmp_path, field):
+    payload = json.loads(json.dumps(BASE))
+    slot = "__value__"
+    device = payload["devices"][0]
+    if field == "number":
+        device["alpha_bps"] = slot
+    elif field == "position":
+        payload["aps"][0]["position"] = [slot, 25.0]
+    elif field == "energy":
+        device["energy"]["initial_energy"] = {"mah": slot}
+    elif field == "range":
+        payload["ranges"]["sensing"] = slot
+    else:
+        payload["beacon_period_s"] = slot
+    text = json.dumps(payload)
+    for token in NON_FINITE:
+        path = tmp_path / "scenario.json"
+        path.write_text(text.replace(f'"{slot}"', token))
+        with pytest.raises(ParseError, match="finite"):
+            parse_scenario(path)

@@ -55,3 +55,12 @@ def test_ranges_validation():
         Ranges(0.0, 10.0, 10.0)
     with pytest.raises(ValueError):
         build_topology([], [[0.0, 0.0]], Ranges(1.0, 1.0, 1.0))
+
+
+def test_single_collision_domain():
+    ranges = Ranges(sensing=10.0, interference=10.0, communication=100.0)
+    assert build_topology([[0, 0]], [[1, 1]], ranges).single_collision_domain
+    assert build_topology([[0, 0]], [[0, 0], [5, 5], [-5, 5]],
+                          ranges).single_collision_domain
+    assert not build_topology([[0, 0]], [[0, 0], [5, 5], [20, 0]],
+                              ranges).single_collision_domain
