@@ -139,6 +139,8 @@ def _summary_stats(reports) -> dict:
 
 def cmd_simulate(args) -> int:
     config = _load(args.scenario)
+    if args.replications < 1:
+        raise CliError("--replications must be >= 1")
     seed0 = config.seed if args.seed is None else args.seed
     seeds = [seed0 + k for k in range(args.replications)]
     reports = []
@@ -222,9 +224,13 @@ def cmd_gap_sweep(args) -> int:
         header += f" {'oracle':>14s} {'oracle-assign':>14s}"
     lines = [header]
     for ratio in ratios:
-        params = ContentionParams(sensing_time=ratio * busy,
-                                  packet_time=0.9 * busy,
-                                  ack_time=0.1 * busy)
+        try:
+            params = ContentionParams(sensing_time=ratio * busy,
+                                      packet_time=0.9 * busy,
+                                      ack_time=0.1 * busy)
+        except ValueError as exc:
+            raise CliError(f"ratio {ratio:g} with busy time {busy:g} s: "
+                           f"{exc}") from None
         lower, upper, gap = optimality_bounds(budgets, params)
         line = f"{ratio:12.6g} {lower:14.6f} {upper:14.6f} {gap:12.6f}"
         if args.oracle:

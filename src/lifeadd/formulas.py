@@ -32,6 +32,9 @@ class ContentionParams:
     ack_time: float
 
     def __post_init__(self) -> None:
+        for name in ("sensing_time", "packet_time", "ack_time"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         # sensing_time 0 is the zero-window limit, useful for sanity checks;
         # the rate solver requires it to be positive.
         if self.sensing_time < 0:

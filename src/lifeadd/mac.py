@@ -1,22 +1,29 @@
 """Event-driven MAC simulation: sleep-wake contention and baseline DCF.
 
-Two modes for the sleep-wake MAC:
+``Simulation.run`` picks one of two engines from the mode, once:
 
-* renewal: the whole network advances cycle by cycle and every sleep timer
-  re-arms at each cycle boundary (statistically identical to letting the
-  residual timers run, by memorylessness).  Collisions happen only between
-  mutually-sensing devices waking within the sensing window, wake-ups
-  during ACK/timeout never transmit, and the congestion factor stays at 1.
-  This reproduces the analytic cycle structure exactly and exists for
-  formula validation.
+* renewal (``_on_cycle_start``, the ``CYCLE_START`` engine): the whole
+  network advances cycle by cycle and every sleep timer re-arms at each
+  cycle boundary (statistically identical to letting the residual timers
+  run, by memorylessness).  Only devices waking within the sensing window
+  of the first wake transmit, they collide when there is more than one,
+  the rest sleep through the busy period, and the congestion factor stays
+  at 1.  This reproduces the analytic cycle structure exactly and exists
+  for formula validation; it needs one collision domain of Life-Add
+  devices.
 
-* realistic: devices run independent timers.  Adds what the renewal model
-  omits: hidden-terminal overlap collisions, transmissions started during
-  an inaudible ACK failing at the AP, wake-ups during a timeout going
-  ahead, and the timeout-doubling congestion factor.
+* realistic (every other handler): devices run independent timers, so
+  the event handlers carry what the renewal model omits:
+  hidden-terminal overlap collisions, transmissions started during an
+  inaudible ACK failing at the AP, wake-ups during a timeout going ahead,
+  the timeout-doubling congestion factor, and the DCF baseline, which
+  keeps its radio on permanently (idle-listening) and contends with
+  slotted binary exponential backoff.  These handlers never run in
+  renewal mode.
 
-The DCF baseline keeps its radio on permanently (idle-listening) and
-contends with slotted binary exponential backoff.
+A device never has more than one device event (``WAKE``, ``BACKOFF_END``,
+``TX_END``, ``ACK_END`` or ``TIMEOUT``) outstanding; the handlers rely on
+it, so none of them checks for a stale or superseded event.
 
 Per-wake sensing inside a known-busy window is aggregated into one Poisson
 draw for the wake count (each wake costs one sensing time of energy); the
@@ -39,7 +46,6 @@ from .topology import Topology
 
 MAX_CONGESTION_FACTOR = 32
 BEACON_PERIOD_S = 0.1
-AP_STREAM_BASE = 1_000_000
 
 LIFEADD = "lifeadd"
 DCF = "dcf"
@@ -65,6 +71,7 @@ class _Transmission:
     # one; populated when either transmission starts.
     overlaps: list[tuple[int, int]] = field(default_factory=list)
     ack_overlap: bool = False   # own AP transmitted an ACK over this
+    success: bool = False       # decided when the transmission ends
 
 
 @dataclass
@@ -95,16 +102,16 @@ class _Device:
         self.initial_rate = 0.0
         self.congestion_factor = 1
         self.current_tx: _Transmission | None = None
-        self.tx_is_success = False
         # DCF state
         self.cw = 0
         self.residual_slots = 0
         self.countdown_start_ns = 0
         self.backoff_interrupted = False
+        # End of the running countdown; None while the station waits for
+        # a busy channel to clear or transmits.
         self.backoff_end_ns: int | None = None
-        self.pending_decision = False
         # accounting
-        self.on_time_ns = 0
+        self.on_time_ns = 0         # radio on, sleep-wake only
         self.tx_success = 0
         self.tx_collision = 0
         self.success_air_ns = 0
@@ -151,8 +158,6 @@ class Simulation:
                     float(alphas[i]), RandomStream(seed, i))
             for i in range(topology.n_devices)
         ]
-        self.ap_streams = [RandomStream(seed, AP_STREAM_BASE + a)
-                           for a in range(topology.n_aps)]
         self.active_tx: list[_Transmission] = []
         self.active_acks: list[_Ack] = []
         self.membership_dirty = False
@@ -214,17 +219,15 @@ class Simulation:
 
     # -- channel --------------------------------------------------------
 
-    def _sensed_busy_until(self, dev: _Device, now_ns: int,
-                           include_blind: bool) -> int | None:
+    def _sensed_busy_until(self, dev: _Device, now_ns: int) -> int | None:
         """Latest end among busy sources the device senses, or None if idle.
 
-        A data transmission counts when it started at least the sensing
-        time ago (more recent starts are undetectable); ACKs count the
-        same way.  ``include_blind`` widens the check to sources of any
-        age (used by the DCF defer decision, which models continuous
-        listening rather than a one-shot sense).
+        For a sleep-wake device a data transmission or ACK counts when it
+        started at least the sensing time ago (more recent starts are
+        undetectable).  A DCF station listens continuously, so its defer
+        decision counts sources of any age.
         """
-        margin = 0 if include_blind else self.ts_ns
+        margin = 0 if dev.mac == DCF else self.ts_ns
         busy_until = None
         sens_dd = self.topology.device_senses_device
         for tx in self.active_tx:
@@ -232,13 +235,12 @@ class Simulation:
                 continue
             if sens_dd[dev.idx, tx.device] and tx.start + margin <= now_ns:
                 busy_until = max(busy_until or 0, tx.end)
-        if self.mode == REALISTIC or dev.mac == DCF:
-            sens_da = self.topology.device_senses_ap
-            for ack in self.active_acks:
-                if ack.end <= now_ns or ack.device == dev.idx:
-                    continue
-                if sens_da[dev.idx, ack.ap] and ack.start + margin <= now_ns:
-                    busy_until = max(busy_until or 0, ack.end)
+        sens_da = self.topology.device_senses_ap
+        for ack in self.active_acks:
+            if ack.end <= now_ns or ack.device == dev.idx:
+                continue
+            if sens_da[dev.idx, ack.ap] and ack.start + margin <= now_ns:
+                busy_until = max(busy_until or 0, ack.end)
         return busy_until
 
     def _packet_ns(self, dev: _Device) -> int:
@@ -254,14 +256,13 @@ class Simulation:
             if other.end > now_ns:
                 other.overlaps.append((dev.idx, now_ns))
                 tx.overlaps.append((other.device, other.start))
-        if self.mode == REALISTIC or dev.mac == DCF:
-            for ack in self.active_acks:
-                if ack.ap == tx.ap and ack.end > now_ns:
-                    tx.ack_overlap = True
-            self._interrupt_dcf_countdowns(
-                now_ns, sensed_by=lambda d: self.topology
-                .device_senses_device[d, dev.idx],
-                source_is_dcf=dev.mac == DCF)
+        for ack in self.active_acks:
+            if ack.ap == tx.ap and ack.end > now_ns:
+                tx.ack_overlap = True
+        self._interrupt_dcf_countdowns(
+            now_ns, sensed_by=lambda d: self.topology
+            .device_senses_device[d, dev.idx],
+            source_is_dcf=dev.mac == DCF)
         self.active_tx.append(tx)
         dev.current_tx = tx
         self.queue.schedule(tx.end, EventKind.TX_END, device=dev.idx)
@@ -279,22 +280,18 @@ class Simulation:
         dev = self.devices[tx.device]
         interferes = self.topology.interferes_at
         senses = self.topology.device_senses_device
-        hidden_collides = self.mode == REALISTIC or dev.mac == DCF
         slot_ns = seconds_to_ns(self.dcf.slot_s)
         for other_dev, other_start in tx.overlaps:
             if not interferes[other_dev, tx.ap]:
                 continue
-            if senses[tx.device, other_dev]:
-                window = (slot_ns if dev.mac == DCF
-                          and self.devices[other_dev].mac == DCF
-                          else self.ts_ns)
-                if abs(other_start - tx.start) < window:
-                    return False
-            elif hidden_collides:
+            if not senses[tx.device, other_dev]:
+                return False  # hidden terminal
+            window = (slot_ns if dev.mac == DCF
+                      and self.devices[other_dev].mac == DCF
+                      else self.ts_ns)
+            if abs(other_start - tx.start) < window:
                 return False
-        if tx.ack_overlap:
-            return False
-        return True
+        return not tx.ack_overlap
 
     def _prune_channel(self, now_ns: int) -> None:
         self.active_tx = [t for t in self.active_tx if t.end > now_ns]
@@ -328,12 +325,12 @@ class Simulation:
             self._schedule_wake(dev, anchor)
 
     def _on_wake(self, dev: _Device, now_ns: int) -> None:
-        if not dev.alive or dev.current_tx is not None:
+        if not dev.alive:
             return
         self._drain(dev, now_ns)
         if not dev.alive:
             return
-        busy_until = self._sensed_busy_until(dev, now_ns, include_blind=False)
+        busy_until = self._sensed_busy_until(dev, now_ns)
         if busy_until is not None:
             self._sleep_through_busy(dev, now_ns, busy_until)
         else:
@@ -341,11 +338,8 @@ class Simulation:
 
     def _on_tx_end(self, dev: _Device, now_ns: int) -> None:
         tx = dev.current_tx
-        if tx is None:
-            return
-        success = self._evaluate_transmission(tx)
-        dev.tx_is_success = success
-        if success:
+        tx.success = self._evaluate_transmission(tx)
+        if tx.success:
             ack = _Ack(tx.ap, dev.idx, now_ns, now_ns + self.ack_ns)
             self.active_acks.append(ack)
             for other in self.active_tx:
@@ -364,11 +358,9 @@ class Simulation:
     def _on_attempt_done(self, dev: _Device, now_ns: int) -> None:
         """Shared ACK/timeout completion: energy, counters, next action."""
         tx = dev.current_tx
-        if tx is None:
-            return
         dev.current_tx = None
         air_ns = tx.end - tx.start
-        success = dev.tx_is_success
+        success = tx.success
         if success:
             dev.tx_success += 1
             dev.success_air_ns += air_ns
@@ -378,20 +370,18 @@ class Simulation:
             self._charge_radio(
                 dev, now_ns, ns_to_seconds(air_ns + self.ack_ns),
                 window_start_ns=tx.start)
-            if self.mode == REALISTIC:
-                dev.mark_rate(now_ns)
-                if success:
-                    dev.congestion_factor = 1
-                else:
-                    dev.congestion_factor = min(
-                        dev.congestion_factor * 2, MAX_CONGESTION_FACTOR)
+            dev.mark_rate(now_ns)
+            if success:
+                dev.congestion_factor = 1
+            else:
+                dev.congestion_factor = min(
+                    dev.congestion_factor * 2, MAX_CONGESTION_FACTOR)
             self._emit_trace(now_ns, "ack" if success else "timeout",
                              dev.idx, f"F={dev.congestion_factor}")
             if dev.alive:
                 self._schedule_wake(dev, now_ns)
         else:
             self._drain(dev, now_ns)
-            dev.on_time_ns += air_ns + self.ack_ns
             self._dcf_redraw(dev, success)
             self._emit_trace(now_ns, "ack" if success else "timeout",
                              dev.idx, f"cw={dev.cw}")
@@ -416,15 +406,14 @@ class Simulation:
         for other in self.devices:
             if (other.mac != DCF or not other.alive
                     or other.backoff_end_ns is None
-                    or other.backoff_interrupted or other.pending_decision
-                    or not sensed_by(other.idx)):
+                    or other.backoff_interrupted or not sensed_by(other.idx)):
                 continue
             blind = slot_ns if source_is_dcf else self.ts_ns
             if other.backoff_end_ns < now_ns + blind:
                 continue
             elapsed = now_ns - (other.countdown_start_ns + difs_ns)
-            consumed = max(0, elapsed // slot_ns) if elapsed > 0 else 0
-            other.residual_slots = max(0, other.residual_slots - int(consumed))
+            consumed = max(0, elapsed) // slot_ns
+            other.residual_slots = max(0, other.residual_slots - consumed)
             other.backoff_interrupted = True
 
     def _dcf_redraw(self, dev: _Device, success: bool) -> None:
@@ -435,16 +424,14 @@ class Simulation:
         dev.residual_slots = dev.stream.integers(0, dev.cw)
 
     def _dcf_decide(self, dev: _Device, now_ns: int) -> None:
-        busy_until = self._sensed_busy_until(dev, now_ns, include_blind=True)
+        busy_until = self._sensed_busy_until(dev, now_ns)
         if busy_until is not None:
-            dev.pending_decision = True
             dev.backoff_end_ns = None
             self.queue.schedule(busy_until, EventKind.BACKOFF_END,
                                 device=dev.idx)
             return
         wait_ns = seconds_to_ns(self.dcf.difs_s
                                 + dev.residual_slots * self.dcf.slot_s)
-        dev.pending_decision = False
         dev.backoff_interrupted = False
         dev.countdown_start_ns = now_ns
         dev.backoff_end_ns = now_ns + wait_ns
@@ -452,20 +439,16 @@ class Simulation:
                             device=dev.idx)
 
     def _on_backoff_end(self, dev: _Device, now_ns: int) -> None:
-        if not dev.alive or dev.current_tx is not None:
+        """The channel cleared or the countdown ran out: re-decide or send."""
+        if not dev.alive:
             return
         self._drain(dev, now_ns)
         if not dev.alive:
             return
-        if dev.pending_decision:
+        if dev.backoff_end_ns is None or dev.backoff_interrupted:
             self._dcf_decide(dev, now_ns)
             return
-        if dev.backoff_end_ns != now_ns:
-            return  # superseded by a newer countdown
         dev.backoff_end_ns = None
-        if dev.backoff_interrupted:
-            self._dcf_decide(dev, now_ns)
-            return
         self._begin_transmission(dev, now_ns)
 
     # -- beacons / rate control ------------------------------------------
@@ -664,24 +647,11 @@ def select_rates(topology: Topology, efficiencies, params: ContentionParams,
     return rates, per_ap
 
 
-def run_scenario_components(topology, profiles, efficiencies, alphas, macs,
-                            params, duration_s, seed, mode=REALISTIC,
-                            dcf=None, packet_sampler=None,
-                            beacon_period_s=BEACON_PERIOD_S,
-                            trace=None) -> SimReport:
-    """Run one simulation from already-built components."""
-    sim = Simulation(topology, profiles, efficiencies, alphas, macs, params,
-                     duration_s, seed, mode=mode, dcf=dcf,
-                     packet_sampler=packet_sampler,
-                     beacon_period_s=beacon_period_s, trace=trace)
-    return sim.run()
-
-
 def run_config(config, seed: int | None = None, mode: str | None = None,
                mac_override: str | None = None, trace=None) -> SimReport:
     """Run a parsed scenario, optionally overriding seed, mode, or MAC."""
     topology = config.build_topology()
-    report = run_scenario_components(
+    report = Simulation(
         topology=topology,
         profiles=config.profiles(),
         efficiencies=config.efficiencies(),
@@ -695,7 +665,7 @@ def run_config(config, seed: int | None = None, mode: str | None = None,
         packet_sampler=config.packet_sampler(),
         beacon_period_s=config.beacon_period_s,
         trace=trace,
-    )
+    ).run()
     ids = config.device_ids()
     for i, row in enumerate(report.devices):
         row.device_id = ids[i]

@@ -20,6 +20,8 @@ from pathlib import Path
 from .energy import (DEFAULT_BATTERY_VOLTAGE, EnergyProfile,
                      InfeasibleLifetime, energy_budget, joules_from_mah)
 from .formulas import ContentionParams
+from .kernel import NS_PER_S, seconds_to_ns
+from .mac import DcfParams
 from .topology import Ranges, Topology, UnassociatedDevice, build_topology
 
 MACS = ("lifeadd", "dcf")
@@ -58,6 +60,15 @@ def _number(value, path: str) -> float:
     if not math.isfinite(number):
         raise ParseError(f"{path}: expected a finite number, got {value!r}")
     return number
+
+
+def _seconds(value, path: str) -> float:
+    """A timing field: a finite number whose nanosecond count is finite."""
+    seconds = _number(value, path)
+    if not math.isfinite(seconds * NS_PER_S):
+        raise ParseError(f"{path}: {value!r} s is too large for the "
+                         "nanosecond clock")
+    return seconds
 
 
 def _reject_constant(token: str):
@@ -238,9 +249,9 @@ def _build_config(raw: dict) -> ScenarioConfig:
                                       "ack_time_s": True})
     try:
         contention = ContentionParams(
-            _number(cont_raw["sensing_time_s"], "contention.sensing_time_s"),
-            _number(cont_raw["packet_time_s"], "contention.packet_time_s"),
-            _number(cont_raw["ack_time_s"], "contention.ack_time_s"))
+            _seconds(cont_raw["sensing_time_s"], "contention.sensing_time_s"),
+            _seconds(cont_raw["packet_time_s"], "contention.packet_time_s"),
+            _seconds(cont_raw["ack_time_s"], "contention.ack_time_s"))
         if contention.sensing_time <= 0:
             violations.append("contention.sensing_time_s must be > 0")
     except ParseError:  # malformed, not merely out of range
@@ -263,12 +274,12 @@ def _build_config(raw: dict) -> ScenarioConfig:
         field_size=_number(raw["field_size"], "field_size"),
         aps=aps, devices=devices, ranges=ranges, mac=mac, mode=mode,
         contention=contention, traffic=traffic,
-        duration_s=_number(raw["duration_s"], "duration_s"),
+        duration_s=_seconds(raw["duration_s"], "duration_s"),
         seed=_integer(raw["seed"], "seed"),
-        dcf={k: _number(v, f"dcf.{k}") if k.endswith("_s")
+        dcf={k: _seconds(v, f"dcf.{k}") if k.endswith("_s")
              else _integer(v, f"dcf.{k}") for k, v in dcf.items()},
-        beacon_period_s=_number(raw.get("beacon_period_s", 0.1),
-                                "beacon_period_s"),
+        beacon_period_s=_seconds(raw.get("beacon_period_s", 0.1),
+                                 "beacon_period_s"),
         name=_string(raw.get("name", ""), "name"),
         description=_string(raw.get("description", ""), "description"),
     )
@@ -374,12 +385,13 @@ def _parse_traffic(raw, violations: list[str]) -> TrafficConfig:
 def _validate(config: ScenarioConfig, violations: list[str]) -> None:
     if config.field_size <= 0:
         violations.append("field_size must be > 0")
-    if config.duration_s <= 0:
-        violations.append("duration_s must be > 0")
+    # A zero-length run divides by zero; a zero beacon period never ends.
+    if seconds_to_ns(config.duration_s) < 1:
+        violations.append("duration_s must be at least 1 ns")
     if not (0 <= config.seed < 2**64):
         violations.append("seed must fit in 64 bits")
-    if config.beacon_period_s <= 0:
-        violations.append("beacon_period_s must be > 0")
+    if seconds_to_ns(config.beacon_period_s) < 1:
+        violations.append("beacon_period_s must be at least 1 ns")
     if not config.aps:
         violations.append("at least one AP is required")
     if not config.devices:
@@ -393,6 +405,15 @@ def _validate(config: ScenarioConfig, violations: list[str]) -> None:
             violations.append(f"ap {ap.id}: mac must be one of {MACS}")
     if not config.traffic.saturated:
         violations.append("only saturated traffic is supported")
+    dcf = DcfParams(**config.dcf)
+    if seconds_to_ns(dcf.slot_s) < 1:  # the countdown divides by it
+        violations.append("dcf.slot_s must be at least 1 ns")
+    if dcf.difs_s < 0:
+        violations.append("dcf.difs_s must be >= 0")
+    if not 0 <= dcf.cw_min <= dcf.cw_max:
+        violations.append(
+            f"dcf: need 0 <= cw_min <= cw_max, got cw_min={dcf.cw_min} "
+            f"and cw_max={dcf.cw_max}")
 
     ids = [a.id for a in config.aps]
     if len(set(ids)) != len(ids):

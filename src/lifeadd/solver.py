@@ -53,7 +53,6 @@ class SleepRateAssignment:
     c_star: float
     y_star: float
     rates: RateVector
-    budgets_used: np.ndarray
 
 
 def _validated_budgets(efficiencies, allow_zero: bool = False) -> np.ndarray:
@@ -132,7 +131,7 @@ def solve_subunit(efficiencies, params: ContentionParams) -> SleepRateAssignment
             f"sum of efficiencies {total:.6g} >= 1; use the water-filling split")
     y_star = 1.0 / (params.busy_time * (1.0 - total))
     rates = RateVector(b * y_star)
-    return SleepRateAssignment(SUB_UNIT, 1.0, y_star, rates, b)
+    return SleepRateAssignment(SUB_UNIT, 1.0, y_star, rates)
 
 
 def assign_rates(efficiencies, params: ContentionParams) -> SleepRateAssignment:
@@ -142,7 +141,7 @@ def assign_rates(efficiencies, params: ContentionParams) -> SleepRateAssignment:
         c_star = water_filling_level(b)
         y_star = optimal_total_rate(b.size, params)
         rates = RateVector(np.minimum(b, c_star) * y_star)
-        return SleepRateAssignment(SUPER_UNIT, c_star, y_star, rates, b)
+        return SleepRateAssignment(SUPER_UNIT, c_star, y_star, rates)
     return solve_subunit(b, params)
 
 

@@ -156,3 +156,21 @@ def test_solve_lists_ap_that_hears_no_device(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", "--scenario", str(path),
                            "--out", str(tmp_path / "report.json"))
     assert code == 0 and not err
+
+
+@pytest.mark.parametrize("argv", [("--ratio-list", "nan"),
+                                  ("--ratio-list", "1e-3,inf"),
+                                  ("--ratio-list", "1e-3", "--busy-time",
+                                   "nan")])
+def test_gap_sweep_rejects_non_finite_numbers(capsys, argv):
+    code, out, err = run_cli(capsys, "gap-sweep", "--n", "3", "--budgets",
+                             "0.5", *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "invalid_input"
+
+
+def test_simulate_rejects_zero_replications(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--scenario", NEAR_FAR,
+                             "--replications", "0")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "invalid_input"

@@ -231,3 +231,13 @@ def test_params_validation_and_warning():
         ContentionParams(2e-5, 0.9e-3, 1e-4)  # ratio 0.02 > 0.01
     params = ContentionParams(4e-6, 0.9e-3, 1e-4)
     assert params.sensing_ratio == pytest.approx(0.004)
+
+
+@pytest.mark.parametrize("field", ["sensing_time", "packet_time",
+                                   "ack_time"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_contention_params_reject_non_finite(field, value):
+    timings = {"sensing_time": 4e-6, "packet_time": 0.9e-3,
+               "ack_time": 1e-4, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ContentionParams(**timings)

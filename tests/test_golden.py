@@ -123,9 +123,24 @@ def all_digests() -> dict[str, str]:
     return dict(sorted(digests.items()))
 
 
+def golden_keys() -> set[str]:
+    """The digest keys the case tables produce, without running a case."""
+    keys = {f"solve/{n}" for n in SCENARIOS}
+    keys |= {f"validate/{n}" for n in VALIDATE}
+    keys.add("gap-sweep/n3-oracle")
+    for case in SIMULATE:
+        keys |= {f"simulate/{case}/json", f"simulate/{case}/csv"}
+    keys.add(f"simulate/{TRACED}/trace")
+    return keys
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(DIGESTS.read_text())
+
+
+def test_golden_digests_cover_exactly_the_cases(golden):
+    assert set(golden) == golden_keys()
 
 
 @pytest.mark.parametrize("name", SCENARIOS)

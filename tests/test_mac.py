@@ -1,14 +1,16 @@
 import dataclasses
 import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from lifeadd.energy import EnergyProfile
 from lifeadd.formulas import ContentionParams, success_time_fraction
+from lifeadd.kernel import EventKind, EventQueue
 from lifeadd.mac import (Simulation, run_baseline_dcf, run_config,
-                         run_lifeadd, run_scenario_components, select_rates)
+                         run_lifeadd, select_rates)
 from lifeadd.report import emit_report
 from lifeadd.scenario import parse_scenario
 from lifeadd.solver import assign_rates, optimal_total_rate
@@ -33,11 +35,11 @@ def single_ap_topology(n):
 def run_simple(n, macs=None, mode="renewal", duration=30.0, seed=3,
                efficiencies=None, profiles=None, trace=None):
     topo = single_ap_topology(n)
-    return run_scenario_components(
+    return Simulation(
         topo, profiles or [big_profile()] * n,
         efficiencies if efficiencies is not None else [2.0] * n,
         [11e6] * n, macs or ["lifeadd"] * n, PARAMS, duration, seed,
-        mode=mode, trace=trace)
+        mode=mode, trace=trace).run()
 
 
 # -- the rate plan ---------------------------------------------------------
@@ -366,3 +368,72 @@ def test_trace_and_report_agree_on_death_times():
     for d, row in enumerate(rep.devices):
         assert row.tx_success == outcomes[d, "ack"]
         assert row.tx_collision == outcomes[d, "timeout"]
+
+
+# -- the one-event-per-device invariant -------------------------------------
+
+DEVICE_EVENTS = frozenset({EventKind.WAKE, EventKind.BACKOFF_END,
+                           EventKind.TX_END, EventKind.ACK_END,
+                           EventKind.TIMEOUT})
+
+
+class OneEventPerDevice(EventQueue):
+    """Fails the run when a device gets a second device event outstanding."""
+
+    def __init__(self):
+        super().__init__()
+        self.outstanding = Counter()
+        self.device_events = 0
+
+    def schedule(self, time, kind, device=None, ap=None):
+        if kind in DEVICE_EVENTS:
+            assert self.outstanding[device] == 0, (
+                f"device {device}: {kind} at {time} ns while another device "
+                "event is outstanding")
+            self.outstanding[device] += 1
+            self.device_events += 1
+        return super().schedule(time, kind, device, ap)
+
+    def next(self):
+        event = super().next()
+        if event.kind in DEVICE_EVENTS:
+            self.outstanding[event.device] -= 1
+        return event
+
+
+def checked_run(sim):
+    sim.queue = OneEventPerDevice()
+    report = sim.run()
+    assert sim.queue.device_events > len(sim.devices)
+    return report
+
+
+def scenario_simulation(name, duration_s, mac=None):
+    cfg = parse_scenario(f"scenarios/{name}.json")
+    topo = cfg.build_topology()
+    return Simulation(topo, cfg.profiles(), cfg.efficiencies(), cfg.alphas(),
+                      cfg.device_macs(topo, mac), cfg.contention, duration_s,
+                      cfg.seed, mode="realistic",
+                      beacon_period_s=cfg.beacon_period_s)
+
+
+@pytest.mark.parametrize("name, mac", [("multi_ap_4x30", "lifeadd"),
+                                       ("multi_ap_4x30", "dcf"),
+                                       ("coexistence_4ap", None)])
+def test_one_device_event_outstanding_in_field_runs(name, mac):
+    sim = scenario_simulation(name, 1.0, mac)
+    checked_run(sim)
+    assert {d.mac for d in sim.devices} == (
+        {"lifeadd", "dcf"} if mac is None else {mac})
+
+
+def test_one_device_event_outstanding_through_deaths():
+    dying = EnergyProfile(initial_energy=1.5, battery_capacity=1.5,
+                          radio_on_power=1.0, base_power=0.5)
+    macs = ["lifeadd", "dcf", "lifeadd", "dcf"]
+    profiles = [dying, dying] + [big_profile()] * 2
+    sim = Simulation(single_ap_topology(4), profiles, [2.0] * 4, [11e6] * 4,
+                     macs, PARAMS, 5.0, 3, mode="realistic")
+    rep = checked_run(sim)
+    assert [d.alive for d in sim.devices] == [False, False, True, True]
+    assert all(row.tx_success > 0 for row in rep.devices)

@@ -189,3 +189,38 @@ def test_non_finite_values_rejected(tmp_path, field):
         path.write_text(text.replace(f'"{slot}"', token))
         with pytest.raises(ParseError, match="finite"):
             parse_scenario(path)
+
+
+@pytest.mark.parametrize("field", ["duration_s", "beacon_period_s"])
+@pytest.mark.parametrize("value", [0.0, 1e-12])
+def test_run_timing_below_one_nanosecond_rejected(tmp_path, field, value):
+    payload = json.loads(json.dumps(BASE))
+    payload[field] = value
+    with pytest.raises(ValidationError,
+                       match=f"{field} must be at least 1 ns"):
+        parse_scenario(write(tmp_path, payload))
+
+
+@pytest.mark.parametrize("dcf, message", [
+    ({"slot_s": 0.0}, "dcf.slot_s must be at least 1 ns"),
+    ({"slot_s": 1e-10}, "dcf.slot_s must be at least 1 ns"),
+    ({"difs_s": -1.0}, "dcf.difs_s must be >= 0"),
+    ({"cw_min": -5}, "0 <= cw_min <= cw_max"),
+    ({"cw_min": 64, "cw_max": 15}, "0 <= cw_min <= cw_max"),
+])
+def test_dcf_block_rejects_meaningless_values(tmp_path, dcf, message):
+    payload = json.loads(json.dumps(BASE))
+    payload["dcf"] = dcf
+    with pytest.raises(ValidationError, match=message):
+        parse_scenario(write(tmp_path, payload))
+
+
+@pytest.mark.parametrize("field", ["duration_s", "beacon_period_s",
+                                   "contention.packet_time_s",
+                                   "dcf.difs_s"])
+def test_timing_beyond_the_nanosecond_clock_rejected(tmp_path, field):
+    payload = json.loads(json.dumps(BASE))
+    block, _, key = field.rpartition(".")
+    (payload.setdefault(block, {}) if block else payload)[key] = 1e300
+    with pytest.raises(ParseError, match=field.replace(".", r"\.")):
+        parse_scenario(write(tmp_path, payload))
