@@ -10,8 +10,11 @@ a packet-size distribution, ``gap-sweep`` with the oracle and
 
 The 30-device runs are cut to 2 s simulated; ``single_ap_lifetime`` keeps
 its full 130 s so that three deaths and their beacon recomputes are
-pinned.  A simulate case runs ``run_config`` once and hashes both formats,
-which is what ``lifeadd simulate --format json|csv`` emits.
+pinned.  Two 16 s field runs (``multi_ap_4x30`` on DCF, and
+``coexistence_4ap`` in its own mode) cross the first idle-listening death
+at 15.09 s and pin, with their traces, the DCF interrupt and polling paths
+after it.  A simulate case runs ``run_config`` once and hashes both
+formats, which is what ``lifeadd simulate --format json|csv`` emits.
 
 After a deliberate output change, regenerate with
 ``PYTHONPATH=src python tests/test_golden.py --write`` and name the bytes
@@ -38,6 +41,7 @@ DIGESTS = Path(__file__).with_name("golden_digests.json")
 SCENARIOS = ("coexistence_4ap", "heterogeneous_trio", "multi_ap_4x30",
              "near_far_pair", "single_ap_lifetime", "single_ap_validation")
 FIELD_DURATION_S = 2.0
+DEATH_DURATION_S = 16.0
 PACKET_MIX = PacketDistribution(choices=(500.0, 1125.0, 1500.0),
                                 weights=(1.0, 2.0, 1.0))
 
@@ -46,30 +50,39 @@ def _scenario(name: str) -> str:
     return str(ROOT / "scenarios" / f"{name}.json")
 
 
-def _config(name: str):
+def _config(name: str, duration_s: float | None = None):
     config = parse_scenario(_scenario(name))
-    if len(config.devices) >= 30:
-        config = dataclasses.replace(config, duration_s=FIELD_DURATION_S)
+    if duration_s is None and len(config.devices) >= 30:
+        duration_s = FIELD_DURATION_S
+    if duration_s is not None:
+        config = dataclasses.replace(config, duration_s=duration_s)
     return config
 
 
 def _simulate_cases() -> dict:
-    """Case id -> (scenario, mac override, mode override, packet mix)."""
+    """Case id -> (scenario, mac override, mode override, packet mix,
+    duration override)."""
     cases = {}
     for name in SCENARIOS:
         renewal = parse_scenario(_scenario(name)).mode == "renewal"
-        cases[f"{name}-own"] = (name, None, None, None)
-        cases[f"{name}-lifeadd"] = (name, "lifeadd", None, None)
+        cases[f"{name}-own"] = (name, None, None, None, None)
+        cases[f"{name}-lifeadd"] = (name, "lifeadd", None, None, None)
         cases[f"{name}-dcf"] = (name, "dcf",
-                                "realistic" if renewal else None, None)
-    cases["near_far_pair-mix-own"] = ("near_far_pair", None, None, PACKET_MIX)
+                                "realistic" if renewal else None, None, None)
+    cases["near_far_pair-mix-own"] = ("near_far_pair", None, None, PACKET_MIX,
+                                      None)
     cases["near_far_pair-mix-dcf"] = ("near_far_pair", "dcf", None,
-                                      PACKET_MIX)
+                                      PACKET_MIX, None)
+    cases["multi_ap_4x30-dcf-16s"] = ("multi_ap_4x30", "dcf", None, None,
+                                      DEATH_DURATION_S)
+    cases["coexistence_4ap-own-16s"] = ("coexistence_4ap", None, None, None,
+                                        DEATH_DURATION_S)
     return cases
 
 
 SIMULATE = _simulate_cases()
-TRACED = "single_ap_lifetime-own"
+TRACED = ("single_ap_lifetime-own", "multi_ap_4x30-dcf-16s",
+          "coexistence_4ap-own-16s")
 VALIDATE = ("heterogeneous_trio", "single_ap_validation")
 VALIDATE_CYCLES = "20000"
 GAP_SWEEP = ("gap-sweep", "--n", "3", "--budgets", "0.5", "--ratio-list",
@@ -89,12 +102,12 @@ def _cli(*argv) -> bytes:
 
 
 def simulate_outputs(case: str) -> dict[str, bytes]:
-    name, mac, mode, mix = SIMULATE[case]
-    config = _config(name)
+    name, mac, mode, mix, duration_s = SIMULATE[case]
+    config = _config(name, duration_s)
     if mix is not None:
         config = dataclasses.replace(config, traffic=dataclasses.replace(
             config.traffic, packet_bytes=mix))
-    trace = io.StringIO() if case == TRACED else None
+    trace = io.StringIO() if case in TRACED else None
     report = run_config(config, mode=mode, mac_override=mac, trace=trace)
     outputs = {f"simulate/{case}/json": emit_report(report, "json"),
                f"simulate/{case}/csv": emit_report(report, "csv")}
@@ -130,7 +143,7 @@ def golden_keys() -> set[str]:
     keys.add("gap-sweep/n3-oracle")
     for case in SIMULATE:
         keys |= {f"simulate/{case}/json", f"simulate/{case}/csv"}
-    keys.add(f"simulate/{TRACED}/trace")
+    keys |= {f"simulate/{case}/trace" for case in TRACED}
     return keys
 
 
