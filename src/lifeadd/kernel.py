@@ -3,14 +3,16 @@
 Time is an integer nanosecond count so event ordering never suffers
 floating-point drift; microsecond-scale MAC timings are exactly
 representable.  Ties dequeue in scheduling order via a sequence counter.
+Heap entries are named tuples ordered by ``(time, sequence)``: the
+sequence is unique, so a comparison never reaches the event kind.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,14 +36,17 @@ class EventKind(Enum):
     CYCLE_START = "cycle_start"
     END_OF_SIM = "end_of_sim"
 
+    # Members are singletons: hash by identity, in C, for dispatch tables
+    # (Enum's own __hash__ is Python code).
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True, order=True)
-class Event:
-    time: int = field(compare=True)
-    sequence: int = field(compare=True)
-    kind: EventKind = field(compare=False)
-    device: int | None = field(default=None, compare=False)
-    ap: int | None = field(default=None, compare=False)
+
+class Event(NamedTuple):
+    time: int
+    sequence: int
+    kind: EventKind
+    device: int | None = None
+    ap: int | None = None
 
 
 def seconds_to_ns(seconds: float) -> int:

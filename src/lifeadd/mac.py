@@ -25,6 +25,12 @@ A device never has more than one device event (``WAKE``, ``BACKOFF_END``,
 ``TX_END``, ``ACK_END`` or ``TIMEOUT``) outstanding; the handlers rely on
 it, so none of them checks for a stale or superseded event.
 
+The topology's boolean matrices are copied once into nested Python lists,
+together with, for each device and each AP, the DCF stations that sense
+it; the per-event code indexes those rather than numpy.  Every channel
+reader skips sources with ``end <= now``, so the active transmission and
+ACK lists are pruned only when a source ends (``TX_END``, ``ACK_END``).
+
 Per-wake sensing inside a known-busy window is aggregated into one Poisson
 draw for the wake count (each wake costs one sensing time of energy); the
 first wake after the window is a fresh exponential by memorylessness, so
@@ -38,8 +44,8 @@ from dataclasses import dataclass, field
 
 from .energy import EnergyProfile
 from .formulas import ContentionParams
-from .kernel import (PRNG_ID, Event, EventKind, EventQueue, RandomStream,
-                     ns_to_seconds, seconds_to_ns)
+from .kernel import (NS_PER_S, PRNG_ID, Event, EventKind, EventQueue,
+                     RandomStream, ns_to_seconds, seconds_to_ns)
 from .report import DeviceMetrics, SimReport
 from .solver import assign_rates
 from .topology import Topology
@@ -90,6 +96,9 @@ class _Device:
         self.idx = idx
         self.mac = mac
         self.profile = profile
+        self.drain_rate = profile.base_power - profile.recharge_rate
+        if mac == DCF:  # idle-listening: always on
+            self.drain_rate += profile.radio_on_power
         self.efficiency = efficiency
         self.alpha = alpha
         self.stream = stream
@@ -151,6 +160,8 @@ class Simulation:
         self.ts_ns = seconds_to_ns(params.sensing_time)
         self.packet_ns = seconds_to_ns(params.packet_time)
         self.ack_ns = seconds_to_ns(params.ack_time)
+        self.slot_ns = seconds_to_ns(self.dcf.slot_s)
+        self.difs_ns = seconds_to_ns(self.dcf.difs_s)
 
         self.queue = EventQueue()
         self.devices = [
@@ -161,6 +172,18 @@ class Simulation:
         self.active_tx: list[_Transmission] = []
         self.active_acks: list[_Ack] = []
         self.membership_dirty = False
+
+        self.senses_device = topology.device_senses_device.tolist()
+        self.senses_ap = topology.device_senses_ap.tolist()
+        self.interferes_at = topology.interferes_at.tolist()
+        self.ap_of = topology.associated_ap.tolist()
+        # The DCF stations that sense each device and each AP.
+        dcf = [d for d in self.devices if d.mac == DCF]
+        self.dcf_sensing_device = [
+            [o for o in dcf if self.senses_device[o.idx][d]]
+            for d in range(topology.n_devices)]
+        self.dcf_sensing_ap = [[o for o in dcf if self.senses_ap[o.idx][ap]]
+                               for ap in range(topology.n_aps)]
 
         if mode == RENEWAL:
             if any(d.mac != LIFEADD for d in self.devices):
@@ -175,16 +198,16 @@ class Simulation:
         """Apply wall-clock battery drain since the last update."""
         if not dev.alive or now_ns <= dev.last_drain_ns:
             return
-        dt = ns_to_seconds(now_ns - dev.last_drain_ns)
-        rate = dev.profile.base_power - dev.profile.recharge_rate
-        if dev.mac == DCF:
-            rate += dev.profile.radio_on_power  # idle-listening: always on
+        dt = (now_ns - dev.last_drain_ns) / NS_PER_S
+        rate = dev.drain_rate
         level = dev.battery - rate * dt
         if level <= 0.0 and rate > 0:
             overshoot = -level
             self._kill(dev, now_ns - seconds_to_ns(overshoot / rate))
             return
-        dev.battery = min(max(level, 0.0), dev.profile.battery_capacity)
+        cap = dev.profile.battery_capacity
+        dev.battery = (level if 0.0 <= level <= cap
+                       else min(max(level, 0.0), cap))
         dev.last_drain_ns = now_ns
 
     def _charge_radio(self, dev: _Device, now_ns: int, on_seconds: float,
@@ -227,19 +250,16 @@ class Simulation:
         undetectable).  A DCF station listens continuously, so its defer
         decision counts sources of any age.
         """
-        margin = 0 if dev.mac == DCF else self.ts_ns
+        heard = now_ns if dev.mac == DCF else now_ns - self.ts_ns
         busy_until = None
-        sens_dd = self.topology.device_senses_device
+        senses = self.senses_device[dev.idx]
         for tx in self.active_tx:
-            if tx.device == dev.idx or tx.end <= now_ns:
-                continue
-            if sens_dd[dev.idx, tx.device] and tx.start + margin <= now_ns:
+            if tx.end > now_ns and tx.start <= heard and senses[tx.device]:
                 busy_until = max(busy_until or 0, tx.end)
-        sens_da = self.topology.device_senses_ap
+        senses = self.senses_ap[dev.idx]
         for ack in self.active_acks:
-            if ack.end <= now_ns or ack.device == dev.idx:
-                continue
-            if sens_da[dev.idx, ack.ap] and ack.start + margin <= now_ns:
+            if (ack.end > now_ns and ack.start <= heard and senses[ack.ap]
+                    and ack.device != dev.idx):
                 busy_until = max(busy_until or 0, ack.end)
         return busy_until
 
@@ -250,8 +270,8 @@ class Simulation:
 
     def _begin_transmission(self, dev: _Device, now_ns: int) -> None:
         length = self._packet_ns(dev)
-        tx = _Transmission(dev.idx, int(self.topology.associated_ap[dev.idx]),
-                           now_ns, now_ns + length)
+        tx = _Transmission(dev.idx, self.ap_of[dev.idx], now_ns,
+                           now_ns + length)
         for other in self.active_tx:
             if other.end > now_ns:
                 other.overlaps.append((dev.idx, now_ns))
@@ -260,9 +280,8 @@ class Simulation:
             if ack.ap == tx.ap and ack.end > now_ns:
                 tx.ack_overlap = True
         self._interrupt_dcf_countdowns(
-            now_ns, sensed_by=lambda d: self.topology
-            .device_senses_device[d, dev.idx],
-            source_is_dcf=dev.mac == DCF)
+            now_ns, self.dcf_sensing_device[dev.idx],
+            blind_ns=self.slot_ns if dev.mac == DCF else self.ts_ns)
         self.active_tx.append(tx)
         dev.current_tx = tx
         self.queue.schedule(tx.end, EventKind.TX_END, device=dev.idx)
@@ -278,15 +297,14 @@ class Simulation:
         with the bare sensing window).
         """
         dev = self.devices[tx.device]
-        interferes = self.topology.interferes_at
-        senses = self.topology.device_senses_device
-        slot_ns = seconds_to_ns(self.dcf.slot_s)
+        interferes = self.interferes_at
+        senses = self.senses_device[tx.device]
         for other_dev, other_start in tx.overlaps:
-            if not interferes[other_dev, tx.ap]:
+            if not interferes[other_dev][tx.ap]:
                 continue
-            if not senses[tx.device, other_dev]:
+            if not senses[other_dev]:
                 return False  # hidden terminal
-            window = (slot_ns if dev.mac == DCF
+            window = (self.slot_ns if dev.mac == DCF
                       and self.devices[other_dev].mac == DCF
                       else self.ts_ns)
             if abs(other_start - tx.start) < window:
@@ -324,7 +342,8 @@ class Simulation:
         if dev.alive:
             self._schedule_wake(dev, anchor)
 
-    def _on_wake(self, dev: _Device, now_ns: int) -> None:
+    def _on_wake(self, event: Event) -> None:
+        dev, now_ns = self.devices[event.device], event.time
         if not dev.alive:
             return
         self._drain(dev, now_ns)
@@ -336,7 +355,8 @@ class Simulation:
         else:
             self._begin_transmission(dev, now_ns)
 
-    def _on_tx_end(self, dev: _Device, now_ns: int) -> None:
+    def _on_tx_end(self, event: Event) -> None:
+        dev, now_ns = self.devices[event.device], event.time
         tx = dev.current_tx
         tx.success = self._evaluate_transmission(tx)
         if tx.success:
@@ -346,22 +366,24 @@ class Simulation:
                 if other is not tx and other.ap == tx.ap and other.end > now_ns:
                     other.ack_overlap = True
             self._interrupt_dcf_countdowns(
-                now_ns, sensed_by=lambda d: self.topology
-                .device_senses_ap[d, tx.ap],
-                source_is_dcf=False)
+                now_ns, self.dcf_sensing_ap[tx.ap], blind_ns=self.ts_ns)
             self.queue.schedule(now_ns + self.ack_ns, EventKind.ACK_END,
                                 device=dev.idx, ap=tx.ap)
         else:
             self.queue.schedule(now_ns + self.ack_ns, EventKind.TIMEOUT,
                                 device=dev.idx, ap=tx.ap)
+        self._prune_channel(now_ns)
+        self._emit_trace(now_ns, "tx_end", dev.idx, "")
 
-    def _on_attempt_done(self, dev: _Device, now_ns: int) -> None:
+    def _on_attempt_done(self, event: Event) -> None:
         """Shared ACK/timeout completion: energy, counters, next action."""
+        dev, now_ns = self.devices[event.device], event.time
         tx = dev.current_tx
         dev.current_tx = None
         air_ns = tx.end - tx.start
         success = tx.success
         if success:
+            self._prune_channel(now_ns)  # this attempt's ACK just ended
             dev.tx_success += 1
             dev.success_air_ns += air_ns
         else:
@@ -390,9 +412,10 @@ class Simulation:
 
     # -- DCF device -------------------------------------------------------
 
-    def _interrupt_dcf_countdowns(self, now_ns: int, sensed_by,
-                                  source_is_dcf: bool) -> None:
-        """Freeze DCF countdowns when a sensed source keys up.
+    def _interrupt_dcf_countdowns(self, now_ns: int,
+                                  listeners: list[_Device],
+                                  blind_ns: int) -> None:
+        """Freeze the countdowns of the DCF listeners when a source keys up.
 
         The slots completed before the interruption are consumed from the
         residual, as in binary exponential backoff.  A countdown ending
@@ -401,18 +424,13 @@ class Simulation:
         blind window is one slot between two DCF stations, since their
         post-busy countdowns share slot boundaries.
         """
-        slot_ns = seconds_to_ns(self.dcf.slot_s)
-        difs_ns = seconds_to_ns(self.dcf.difs_s)
-        for other in self.devices:
-            if (other.mac != DCF or not other.alive
-                    or other.backoff_end_ns is None
-                    or other.backoff_interrupted or not sensed_by(other.idx)):
+        for other in listeners:
+            if (not other.alive or other.backoff_end_ns is None
+                    or other.backoff_interrupted
+                    or other.backoff_end_ns < now_ns + blind_ns):
                 continue
-            blind = slot_ns if source_is_dcf else self.ts_ns
-            if other.backoff_end_ns < now_ns + blind:
-                continue
-            elapsed = now_ns - (other.countdown_start_ns + difs_ns)
-            consumed = max(0, elapsed) // slot_ns
+            elapsed = now_ns - (other.countdown_start_ns + self.difs_ns)
+            consumed = max(0, elapsed) // self.slot_ns
             other.residual_slots = max(0, other.residual_slots - consumed)
             other.backoff_interrupted = True
 
@@ -438,8 +456,9 @@ class Simulation:
         self.queue.schedule(dev.backoff_end_ns, EventKind.BACKOFF_END,
                             device=dev.idx)
 
-    def _on_backoff_end(self, dev: _Device, now_ns: int) -> None:
+    def _on_backoff_end(self, event: Event) -> None:
         """The channel cleared or the countdown ran out: re-decide or send."""
+        dev, now_ns = self.devices[event.device], event.time
         if not dev.alive:
             return
         self._drain(dev, now_ns)
@@ -461,12 +480,13 @@ class Simulation:
             include)
         self.membership_dirty = False
 
-    def _on_beacon(self, ap: int, now_ns: int) -> None:
+    def _on_beacon(self, event: Event) -> None:
         """Re-plan after a death, then hand out the plan to the AP's devices.
 
         Every AP's beacons of one period share a timestamp and run back to
         back, so each device adopts its new rate before any other event.
         """
+        ap, now_ns = event.ap, event.time
         if self.membership_dirty:
             self._plan_rates()
         for d in self.topology.devices_heard_by(ap):
@@ -480,7 +500,8 @@ class Simulation:
 
     # -- renewal-mode cycle engine ----------------------------------------
 
-    def _on_cycle_start(self, now_ns: int) -> None:
+    def _on_cycle_start(self, event: Event) -> None:
+        now_ns = event.time
         alive = [d for d in self.devices if d.alive]
         if not alive:
             return
@@ -546,29 +567,20 @@ class Simulation:
                     self.queue.schedule(self.beacon_period_ns,
                                         EventKind.BEACON, ap=ap)
 
+        handlers = {EventKind.WAKE: self._on_wake,
+                    EventKind.TX_END: self._on_tx_end,
+                    EventKind.ACK_END: self._on_attempt_done,
+                    EventKind.TIMEOUT: self._on_attempt_done,
+                    EventKind.BACKOFF_END: self._on_backoff_end,
+                    EventKind.BEACON: self._on_beacon,
+                    EventKind.CYCLE_START: self._on_cycle_start}
         while True:
             event = self.queue.next()
-            if event.kind == EventKind.END_OF_SIM or event.time >= self.duration_ns:
+            if (event.kind is EventKind.END_OF_SIM
+                    or event.time >= self.duration_ns):
                 break
-            self._dispatch(event)
-            self._prune_channel(event.time)
+            handlers[event.kind](event)
         return self._build_report()
-
-    def _dispatch(self, event: Event) -> None:
-        now = event.time
-        if event.kind == EventKind.WAKE:
-            self._on_wake(self.devices[event.device], now)
-        elif event.kind == EventKind.TX_END:
-            self._on_tx_end(self.devices[event.device], now)
-            self._emit_trace(now, "tx_end", event.device, "")
-        elif event.kind in (EventKind.ACK_END, EventKind.TIMEOUT):
-            self._on_attempt_done(self.devices[event.device], now)
-        elif event.kind == EventKind.BACKOFF_END:
-            self._on_backoff_end(self.devices[event.device], now)
-        elif event.kind == EventKind.BEACON:
-            self._on_beacon(event.ap, now)
-        elif event.kind == EventKind.CYCLE_START:
-            self._on_cycle_start(now)
 
     # -- reporting ----------------------------------------------------------
 

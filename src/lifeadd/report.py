@@ -162,7 +162,9 @@ def report_to_dict(report: SimReport) -> dict:
 
 
 def emit_json(report: SimReport) -> bytes:
-    return (json.dumps(report_to_dict(report), indent=2) + "\n").encode()
+    """JSON report; a NaN or an unlabelled infinity raises ValueError."""
+    return (json.dumps(report_to_dict(report), indent=2, allow_nan=False)
+            + "\n").encode()
 
 
 def emit_report(report: SimReport, format: str = "json") -> bytes:

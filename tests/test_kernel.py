@@ -16,6 +16,21 @@ def test_ties_dequeue_in_scheduling_order():
     assert q.next().device == 1
 
 
+def test_simultaneous_mixed_kinds_pop_in_scheduling_order():
+    # EventKind is not orderable: a comparison that reached the kind raises.
+    q = EventQueue()
+    kinds = [k for k in EventKind if k is not EventKind.END_OF_SIM]
+    scheduled = [q.schedule(7, kinds[i % len(kinds)], device=i, ap=i % 4)
+                 for i in range(1000)]
+    popped = [q.next() for _ in range(1000)]
+    assert popped == scheduled
+    assert [e.sequence for e in popped] == list(range(1000))
+    last = popped[-1]
+    assert (last.time, last.sequence, last.kind, last.device, last.ap) == (
+        7, 999, kinds[999 % len(kinds)], 999, 3)
+    assert q.next().kind is EventKind.END_OF_SIM
+
+
 def test_time_order_beats_insertion_order():
     q = EventQueue()
     q.schedule(5, EventKind.WAKE, device=0)

@@ -107,6 +107,13 @@ def test_same_report_emits_identical_bytes():
         sample_report(), "json")
 
 
+def test_json_rejects_nan_instead_of_writing_invalid_json():
+    report = sample_report()
+    report.devices[0].throughput_bps = math.nan
+    with pytest.raises(ValueError):
+        emit_report(report, "json")
+
+
 def test_unknown_format_rejected():
     with pytest.raises(ValueError):
         emit_report(sample_report(), "yaml")

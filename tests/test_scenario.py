@@ -142,6 +142,25 @@ def test_packet_distribution_validation(tmp_path):
         parse_scenario(write(tmp_path, payload))
 
 
+def test_packet_longer_than_the_run_is_rejected(tmp_path):
+    payload = json.loads(json.dumps(BASE))
+    payload["traffic"]["packet_bytes"] = 1e300
+    with pytest.raises(ValidationError, match="traffic.packet_bytes"):
+        parse_scenario(write(tmp_path, payload))
+    # 11 Mb/s for 10 s is 13.75e6 bytes: the largest packet that fits.
+    payload["traffic"]["packet_bytes"] = 13.75e6
+    assert parse_scenario(write(tmp_path, payload)).traffic.packet_bytes \
+        == 13.75e6
+
+
+def test_packet_distribution_longer_than_the_run_is_rejected(tmp_path):
+    payload = json.loads(json.dumps(BASE))
+    payload["traffic"]["packet_bytes"] = {"choices": [1500.0, 1e300],
+                                          "weights": [0.5, 0.5]}
+    with pytest.raises(ValidationError, match="traffic.packet_bytes"):
+        parse_scenario(write(tmp_path, payload))
+
+
 def test_device_macs_follow_ap_overrides(tmp_path):
     payload = json.loads(json.dumps(BASE))
     payload["aps"].append({"id": "ap1", "position": [40.0, 40.0],
