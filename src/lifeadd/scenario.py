@@ -422,19 +422,16 @@ def _validate(config: ScenarioConfig, violations: list[str]) -> None:
     if len(set(ids)) != len(ids):
         violations.append("duplicate device id")
 
-    # One packet's airtime, bytes * 8 / alpha, must fit in the run.
     pb = config.traffic.packet_bytes
     largest = max(pb.choices if isinstance(pb, PacketDistribution)
                   else (pb or 0.0,), default=0.0)
     for d in config.devices:
-        if d.alpha_bps > 0 and largest * 8.0 / d.alpha_bps > config.duration_s:
-            violations.append(f"traffic.packet_bytes: a {largest:g}-byte "
-                              f"packet on device {d.id} outlasts duration_s")
-            break
-
-    for d in config.devices:
         if d.alpha_bps <= 0:
             violations.append(f"device {d.id}: alpha_bps must be > 0")
+        elif largest * 8.0 / d.alpha_bps > config.duration_s:
+            # One packet's airtime, bytes * 8 / alpha, must fit in the run.
+            violations.append(f"traffic.packet_bytes: a {largest:g}-byte "
+                              f"packet on device {d.id} outlasts duration_s")
         try:
             budget = energy_budget(d.energy)
             if budget.efficiency <= 1e-12:
