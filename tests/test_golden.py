@@ -6,7 +6,8 @@ scenario, ``simulate`` JSON and CSV for every scenario in its own mode
 and with ``--mac lifeadd`` and ``--mac dcf`` (renewal scenarios run DCF
 in realistic mode), one trace with battery deaths and beacon recomputes,
 a packet-size distribution, ``gap-sweep`` with the oracle and
-``validate`` at a reduced cycle count.
+``validate`` at a reduced cycle count, plus one ``validate`` of 400,001
+cycles: three Monte-Carlo chunks, the last of a single row.
 
 The 30-device runs are cut to 2 s simulated; ``single_ap_lifetime`` keeps
 its full 130 s so that three deaths and their beacon recomputes are
@@ -83,8 +84,11 @@ def _simulate_cases() -> dict:
 SIMULATE = _simulate_cases()
 TRACED = ("single_ap_lifetime-own", "multi_ap_4x30-dcf-16s",
           "coexistence_4ap-own-16s")
-VALIDATE = ("heterogeneous_trio", "single_ap_validation")
-VALIDATE_CYCLES = "20000"
+# Case id -> (scenario, cycles).
+VALIDATE = {"heterogeneous_trio": ("heterogeneous_trio", "20000"),
+            "single_ap_validation": ("single_ap_validation", "20000"),
+            "single_ap_validation-400001": ("single_ap_validation",
+                                            "400001")}
 GAP_SWEEP = ("gap-sweep", "--n", "3", "--budgets", "0.5", "--ratio-list",
              "1e-2,0.00783,1e-3,1e-4,1e-5", "--oracle")
 
@@ -120,9 +124,10 @@ def solve_output(name: str) -> bytes:
     return _cli("solve", "--scenario", _scenario(name))
 
 
-def validate_output(name: str) -> bytes:
+def validate_output(case: str) -> bytes:
+    name, cycles = VALIDATE[case]
     return _cli("validate", "--scenario", _scenario(name), "--cycles",
-                VALIDATE_CYCLES)
+                cycles)
 
 
 def all_digests() -> dict[str, str]:
@@ -161,9 +166,9 @@ def test_golden_solve(golden, name):
     assert _sha(solve_output(name)) == golden[f"solve/{name}"]
 
 
-@pytest.mark.parametrize("name", VALIDATE)
-def test_golden_validate(golden, name):
-    assert _sha(validate_output(name)) == golden[f"validate/{name}"]
+@pytest.mark.parametrize("case", VALIDATE)
+def test_golden_validate(golden, case):
+    assert _sha(validate_output(case)) == golden[f"validate/{case}"]
 
 
 def test_golden_gap_sweep(golden):
