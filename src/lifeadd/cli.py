@@ -179,6 +179,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_validate(args) -> int:
     config = _load(args.scenario)
+    if args.cycles < 1:
+        raise CliError("--cycles must be >= 1")
     topology = config.build_topology()
     if not topology.single_collision_domain:
         raise CliError(

@@ -8,6 +8,16 @@ using the closed forms, so it serves as an independent check of them.
 
 Probabilities get binomial confidence bands; the time fractions are
 renewal-reward ratios and get delta-method bands.
+
+Cycles run in chunks of ``_CHUNK`` rows.  Rewards are summed over the
+transmitting cells only, about one per cycle, instead of over dense
+(cycles, devices) arrays that are almost all 0.0, and the sums are the
+same bits: numpy reduces axis 0 of a C-ordered array with two or more
+columns row by row, which is the order ``np.bincount`` adds its weights
+in, and the skipped ``+ 0.0`` terms change nothing.  A lone column is
+summed pairwise, so for one device the column is rebuilt and summed as
+before.  The chunk size fixes the pairwise grouping of the cycle-length
+sums, so changing it moves the ``mean_cycle`` bits.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formulas import (ContentionParams, attempt_probability,
+from .formulas import (ContentionParams, _as_rates, attempt_probability,
                        radio_on_fraction, success_probability,
                        success_time_fraction)
 
@@ -40,12 +50,31 @@ class RenewalEstimates:
     mean_cycle: float
 
 
+def _reward_sums(rows, cols, value, cycle, n: int) -> np.ndarray:
+    """Column sums of ``R``, ``R * R`` and ``R * cycle[:, None]`` for the
+    (m, n) reward array ``R`` that is ``value`` at the cells ``(rows, cols)``,
+    given in row-major order, and 0.0 elsewhere; bit for bit what
+    ``.sum(axis=0)`` of the dense arrays gives."""
+    w = np.full(rows.size, value)
+    terms = (w, w * w, w * cycle[rows])
+    if n > 1:  # numpy adds the rows in order, as bincount does
+        return np.array([np.bincount(cols, weights=t, minlength=n)
+                         for t in terms])
+    dense = np.zeros((cycle.size, 1))  # a lone column is summed pairwise
+    sums = []
+    for t in terms:
+        dense[rows, 0] = t
+        sums.append(dense.sum(axis=0))
+    return np.array(sums)
+
+
 def simulate_cycles(rates, params: ContentionParams, n_cycles: int,
                     seed: int) -> RenewalEstimates:
     """Run ``n_cycles`` renewal cycles and measure the four metrics."""
-    r = np.asarray(rates, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("rates must be > 0")
+    r = _as_rates(rates)
+    if params.sensing_time <= 0:
+        raise ValueError("sensing_time must be > 0: with none, no device "
+                         "transmits")
     n = r.size
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
@@ -57,43 +86,37 @@ def simulate_cycles(rates, params: ContentionParams, n_cycles: int,
     win_count = np.zeros(n)
     attempt_count = np.zeros(n)
     collision_cycles = 0
-    # Ratio-estimator accumulators: per-device reward sums and cross terms
-    # against the cycle length.
+    # Ratio-estimator accumulators: per-device reward sums, their squares
+    # and cross terms against the cycle length, for the successful airtime
+    # and the radio-on time.
     sum_c = 0.0
     sum_c2 = 0.0
-    sum_p = np.zeros(n)
-    sum_p2 = np.zeros(n)
-    sum_pc = np.zeros(n)
-    sum_on = np.zeros(n)
-    sum_on2 = np.zeros(n)
-    sum_onc = np.zeros(n)
+    p_sums = np.zeros((3, n))
+    on_sums = np.zeros((3, n))
 
     remaining = n_cycles
     while remaining > 0:
         m = min(remaining, _CHUNK)
         remaining -= m
-        residual = rng.standard_exponential((m, n)) / r[None, :]
+        residual = rng.standard_exponential((m, n))
+        residual /= r
         first = residual.min(axis=1)
         transmits = residual < (first + ts)[:, None]
-        n_tx = transmits.sum(axis=1)
-        success = n_tx == 1
-        wins = transmits & success[:, None]
+        del residual  # the (m, n) arrays go before the next chunk's draw
+        rows, cols = np.nonzero(transmits)
+        del transmits
+        success = np.bincount(rows, minlength=m) == 1
+        won = success[rows]
 
-        attempt_count += transmits.sum(axis=0)
-        win_count += wins.sum(axis=0)
-        collision_cycles += int((~success).sum())
+        attempt_count += np.bincount(cols, minlength=n)
+        win_count += np.bincount(cols[won], minlength=n)
+        collision_cycles += m - int(np.count_nonzero(success))
 
         cycle = first + busy
         sum_c += cycle.sum()
         sum_c2 += (cycle * cycle).sum()
-        p_reward = wins * packet
-        on_reward = transmits * busy
-        sum_p += p_reward.sum(axis=0)
-        sum_p2 += (p_reward * p_reward).sum(axis=0)
-        sum_pc += (p_reward * cycle[:, None]).sum(axis=0)
-        sum_on += on_reward.sum(axis=0)
-        sum_on2 += (on_reward * on_reward).sum(axis=0)
-        sum_onc += (on_reward * cycle[:, None]).sum(axis=0)
+        p_sums += _reward_sums(rows[won], cols[won], packet, cycle, n)
+        on_sums += _reward_sums(rows, cols, busy, cycle, n)
 
     m = float(n_cycles)
     win = win_count / m
@@ -114,8 +137,8 @@ def simulate_cycles(rates, params: ContentionParams, n_cycles: int,
         sigma = np.sqrt(resid_var / m) / mean_c
         return ratio, sigma
 
-    p_hat, p_sigma = ratio_estimate(sum_p, sum_p2, sum_pc)
-    on_hat, on_sigma = ratio_estimate(sum_on, sum_on2, sum_onc)
+    p_hat, p_sigma = ratio_estimate(*p_sums)
+    on_hat, on_sigma = ratio_estimate(*on_sums)
 
     return RenewalEstimates(
         n_cycles=n_cycles,

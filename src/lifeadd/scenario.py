@@ -252,8 +252,12 @@ def _build_config(raw: dict) -> ScenarioConfig:
             _seconds(cont_raw["sensing_time_s"], "contention.sensing_time_s"),
             _seconds(cont_raw["packet_time_s"], "contention.packet_time_s"),
             _seconds(cont_raw["ack_time_s"], "contention.ack_time_s"))
-        if contention.sensing_time <= 0:
-            violations.append("contention.sensing_time_s must be > 0")
+        # The DES rounds both to whole ns: in a 0 ns window no device
+        # transmits, and a 0 ns packet carries no throughput.
+        for key, seconds in (("sensing_time_s", contention.sensing_time),
+                             ("packet_time_s", contention.packet_time)):
+            if seconds_to_ns(seconds) < 1:
+                violations.append(f"contention.{key} must be at least 1 ns")
     except ParseError:  # malformed, not merely out of range
         raise
     except ValueError as exc:

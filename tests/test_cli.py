@@ -174,3 +174,10 @@ def test_simulate_rejects_zero_replications(capsys):
                              "--replications", "0")
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["type"] == "invalid_input"
+
+
+def test_validate_rejects_zero_cycles(capsys):
+    code, out, err = run_cli(capsys, "validate", "--scenario", VALIDATION,
+                             "--cycles", "0")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "invalid_input"

@@ -220,6 +220,18 @@ def test_run_timing_below_one_nanosecond_rejected(tmp_path, field, value):
         parse_scenario(write(tmp_path, payload))
 
 
+@pytest.mark.filterwarnings("ignore:sensing ratio")
+@pytest.mark.parametrize("field", ["sensing_time_s", "packet_time_s"])
+def test_contention_timing_below_one_nanosecond_rejected(tmp_path, field):
+    # 0.1 ns rounds to 0 ns: the DES then saw no sensing window (no device
+    # ever transmitted) or zero-length packets (zero throughput).
+    payload = json.loads(json.dumps(BASE))
+    payload["contention"][field] = 1e-10
+    with pytest.raises(ValidationError,
+                       match=f"contention.{field} must be at least 1 ns"):
+        parse_scenario(write(tmp_path, payload))
+
+
 @pytest.mark.parametrize("dcf, message", [
     ({"slot_s": 0.0}, "dcf.slot_s must be at least 1 ns"),
     ({"slot_s": 1e-10}, "dcf.slot_s must be at least 1 ns"),
