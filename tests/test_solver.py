@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from lifeadd import solver
 from lifeadd.formulas import ContentionParams, log_throughput_utility
 from lifeadd.solver import (SUB_UNIT, SUPER_UNIT, DegenerateBudget,
                             NoFeasiblePoint, SubUnitRegime, SuperUnitRegime,
@@ -252,3 +253,154 @@ def test_assignment_invariants_property(budgets):
     else:
         assert a.case == SUB_UNIT
         assert a.c_star == 1.0
+
+
+def _slice_objective(combos, params, b):
+    """Per-slice objective of the reference search: -inf where infeasible."""
+    y = combos.sum(axis=1)
+    ts = params.sensing_time
+    lt = params.busy_time
+    n = combos.shape[1]
+    ert = np.exp(-combos * ts)
+    on = ((1.0 - ert) * y[:, None] + ert * combos) / (y + 1.0 / lt)[:, None]
+    feasible = np.all(on <= b[None, :], axis=1)
+    obj = (np.log(combos).sum(axis=1)
+           - n * np.log(y + 1.0 / lt)
+           - (n - 1) * y * ts
+           + n * math.log(params.packet_time / lt))
+    obj[~feasible] = -np.inf
+    return obj
+
+
+def slice_reference(axes, params, b):
+    """The grid search one axis-0 value at a time over (rows, n) combos:
+    (rates, objective, index) of the first maximum in row-major order."""
+    n = len(axes)
+    rest = axes[1:]
+    mesh = np.meshgrid(*rest, indexing="ij") if rest else []
+    rest_combos = (np.stack([m.ravel() for m in mesh], axis=1)
+                   if rest else np.zeros((1, 0)))
+    best_obj = -np.inf
+    best_idx = None
+    for i, r0 in enumerate(axes[0]):
+        combos = np.empty((rest_combos.shape[0], n))
+        combos[:, 0] = r0
+        combos[:, 1:] = rest_combos
+        obj = _slice_objective(combos, params, b)
+        j = int(np.argmax(obj))
+        if obj[j] > best_obj:
+            best_obj = float(obj[j])
+            best_idx = (i, j)
+    if best_idx is None or not math.isfinite(best_obj):
+        raise NoFeasiblePoint("no grid point satisfies the radio-on constraints")
+    i, j = best_idx
+    rates = np.empty(n)
+    rates[0] = axes[0][i]
+    rates[1:] = rest_combos[j]
+    index = np.array([i] + [int(k) for k in np.unravel_index(
+        j, [a.size for a in rest])] if rest else [i])
+    return rates, best_obj, index
+
+
+def reference_oracle(efficiencies, params, grid_resolution):
+    """The oracle's coarse grid, refinement and cell-span probe on top of
+    ``slice_reference``."""
+    b = np.asarray(efficiencies, dtype=float)
+    n = b.size
+    scale = assign_rates(b, params).y_star
+    axes = [np.logspace(0.0, math.log10(10.0 * scale), grid_resolution)
+            for _ in range(n)]
+    rates, obj, index = slice_reference(axes, params, b)
+    at_boundary = bool(np.any(index == 0)
+                       or np.any(index == grid_resolution - 1))
+    refined_axes = []
+    for d in range(n):
+        k = index[d]
+        a_lo = axes[d][max(k - 1, 0)]
+        a_hi = axes[d][min(k + 1, axes[d].size - 1)]
+        refined_axes.append(
+            np.logspace(math.log10(a_lo), math.log10(a_hi), grid_resolution))
+    r_rates, r_obj, r_index = slice_reference(refined_axes, params, b)
+    if r_obj >= obj:
+        rates, obj, index = r_rates, r_obj, r_index
+    span = 0.0
+    for d in range(n):
+        axis = refined_axes[d]
+        k = min(int(r_index[d]), axis.size - 1)
+        for nb in (k - 1, k + 1):
+            if 0 <= nb < axis.size:
+                probe = rates.copy()
+                probe[d] = axis[nb]
+                val = _slice_objective(probe[None, :], params, b)[0]
+                if math.isfinite(val):
+                    span = max(span, abs(obj - val))
+    return rates, obj, span, at_boundary
+
+
+def ratio_params(ratio, busy=1e-3):
+    return ContentionParams(sensing_time=ratio * busy,
+                            packet_time=0.9 * busy, ack_time=0.1 * busy)
+
+
+def assert_oracle_matches_reference(budgets, params, grid_resolution=50):
+    got = brute_force_oracle(budgets, params, grid_resolution)
+    rates, obj, span, at_boundary = reference_oracle(budgets, params,
+                                                     grid_resolution)
+    assert got.rates.tobytes() == rates.tobytes()
+    assert np.float64(got.objective).tobytes() == np.float64(obj).tobytes()
+    assert np.float64(got.cell_span).tobytes() == np.float64(span).tobytes()
+    assert got.at_boundary == at_boundary
+
+
+# n = 4 costs seconds per reference call, so it is covered by the fixed
+# case below and by the narrow-axes property.
+budget_lists = st.integers(1, 3).flatmap(lambda n: st.one_of(
+    st.lists(st.floats(0.05, 3.0), min_size=n, max_size=n),
+    st.floats(0.05, 3.0).map(lambda v: [v] * n)))  # symmetric: exact ties
+
+
+@settings(max_examples=30, deadline=None)
+@given(budget_lists, st.floats(-5.0, -2.01))
+def test_oracle_equals_slice_reference_bit_for_bit(budgets, log_ratio):
+    params = ratio_params(10.0 ** log_ratio)
+    try:
+        reference_oracle(budgets, params, 50)
+    except NoFeasiblePoint:
+        with pytest.raises(NoFeasiblePoint):
+            brute_force_oracle(budgets, params)
+        return
+    assert_oracle_matches_reference(budgets, params)
+
+
+def test_oracle_equals_slice_reference_when_a_slice_exceeds_the_chunk():
+    # 51**3 = 132,651 points per axis-0 value, more than one block holds.
+    assert_oracle_matches_reference([0.4, 0.7, 1.1, 0.9], ratio_params(4e-3),
+                                    grid_resolution=51)
+
+
+def axis_values(width):
+    """A short log-spaced axis; a tiny width repeats values, so the
+    objective ties exactly and only the row-major order decides."""
+    return st.tuples(st.floats(0.0, 4.0), st.integers(1, 8)).map(
+        lambda a: np.logspace(a[0], a[0] + width, a[1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+           st.one_of(axis_values(1e-15), axis_values(0.5)),
+           min_size=n, max_size=n)),
+       st.floats(0.05, 3.0), st.floats(-5.0, -2.01))
+def test_grid_search_equals_slice_reference_on_narrow_axes(axes, budget,
+                                                           log_ratio):
+    params = ratio_params(10.0 ** log_ratio)
+    b = np.full(len(axes), budget)
+    try:
+        want = slice_reference(axes, params, b)
+    except NoFeasiblePoint:
+        with pytest.raises(NoFeasiblePoint):
+            solver._best_on_axes(axes, params, b)
+        return
+    rates, obj, index = solver._best_on_axes(axes, params, b)
+    assert rates.tobytes() == want[0].tobytes()
+    assert np.float64(obj).tobytes() == np.float64(want[1]).tobytes()
+    assert np.array_equal(index, want[2])
