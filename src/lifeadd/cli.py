@@ -214,6 +214,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gap_sweep(args) -> int:
+    if args.n < 1:
+        raise CliError(f"--n must be >= 1, got {args.n}")
     budgets = [float(x) for x in args.budgets.split(",")]
     if len(budgets) == 1 and args.n > 1:
         budgets = budgets * args.n
@@ -233,10 +235,14 @@ def cmd_gap_sweep(args) -> int:
         except ValueError as exc:
             raise CliError(f"ratio {ratio:g} with busy time {busy:g} s: "
                            f"{exc}") from None
-        lower, upper, gap = optimality_bounds(budgets, params)
+        try:
+            lower, upper, gap = optimality_bounds(budgets, params)
+            result = (brute_force_oracle(budgets, params, args.grid)
+                      if args.oracle else None)
+        except ValueError as exc:
+            raise CliError(str(exc)) from None
         line = f"{ratio:12.6g} {lower:14.6f} {upper:14.6f} {gap:12.6f}"
-        if args.oracle:
-            result = brute_force_oracle(budgets, params, args.grid)
+        if result is not None:
             achieved = log_throughput_utility(
                 assign_rates(budgets, params).rates, params)
             line += f" {result.objective:14.6f} {result.objective - achieved:+14.6f}"

@@ -25,6 +25,9 @@ from .formulas import ContentionParams, RateVector, log_throughput_utility
 SUPER_UNIT = "super_unit"
 SUB_UNIT = "sub_unit"
 
+MAX_GRID_POINTS = 10_000_000  # cap on the oracle's grid_resolution ** n
+_GRID_BLOCK = 1 << 17         # oracle grid points evaluated at once
+
 
 class SubUnitRegime(ValueError):
     """Efficiencies sum below 1; the water-filling split does not apply."""
@@ -201,56 +204,92 @@ class OracleResult:
     at_boundary: bool      # best point sits on the grid edge
 
 
-def _grid_objective(combos: np.ndarray, params: ContentionParams,
+def _axis_terms(axis: np.ndarray, ts: float) -> tuple[np.ndarray, ...]:
+    """Per-value factors of the objective along one device's axis:
+    r, log r, 1 - exp(-r ts) and exp(-r ts) r."""
+    ert = np.exp(-axis * ts)
+    return axis, np.log(axis), 1.0 - ert, ert * axis
+
+
+def _grid_objective(terms, params: ContentionParams,
                     b: np.ndarray) -> np.ndarray:
-    """Vectorized true-constraint objective; -inf where infeasible."""
-    y = combos.sum(axis=1)
+    """True-constraint objective over the broadcast product of the devices'
+    ``_axis_terms``; -inf where infeasible.
+
+    Sums over devices run in device order, ``((r0 + r1) + r2) + ...``, the
+    order in which numpy adds the rows of a (points, n) array.
+    """
+    n = len(terms)
     ts = params.sensing_time
     lt = params.busy_time
-    n = combos.shape[1]
-    ert = np.exp(-combos * ts)
-    on = ((1.0 - ert) * y[:, None] + ert * combos) / (y + 1.0 / lt)[:, None]
-    feasible = np.all(on <= b[None, :], axis=1)
-    obj = (np.log(combos).sum(axis=1)
-           - n * np.log(y + 1.0 / lt)
-           - (n - 1) * y * ts
-           + n * math.log(params.packet_time / lt))
-    obj[~feasible] = -np.inf
+    y, log_sum = terms[0][:2]
+    for r, log_r, _, _ in terms[1:]:
+        y = y + r
+        log_sum = log_sum + log_r
+    total = y + 1.0 / lt
+    # Full-size arrays are reused in place; each step keeps the operands
+    # and rounding of ``((1 - ert) * y + ert * r) / total <= b`` and of
+    # ``log_sum - n * log(total) - (n - 1) * y * ts + const``.
+    on = np.empty_like(total)
+    infeasible = np.zeros(total.shape, dtype=bool)
+    for d, (_, _, one_minus_ert, ert_r) in enumerate(terms):
+        np.multiply(one_minus_ert, y, out=on)
+        on += ert_r
+        on /= total
+        infeasible |= on > b[d]
+    obj = np.log(total, out=on)
+    obj *= n
+    np.subtract(log_sum, obj, out=obj)
+    idle = np.multiply(y, n - 1, out=total)
+    idle *= ts
+    obj -= idle
+    obj += n * math.log(params.packet_time / lt)
+    obj[infeasible] = -np.inf
     return obj
+
+
+def _row_major_index(flat: np.ndarray, shape: list[int]) -> tuple:
+    return np.unravel_index(flat, shape) if shape else ()
 
 
 def _best_on_axes(axes: list[np.ndarray], params: ContentionParams,
                   b: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     """Exhaustive search over the cartesian product of per-device axes.
 
-    Chunked along the first axis to bound memory; the argmax of the
-    flattened row-major order breaks ties at the lexicographically
-    smallest rate vector.
+    Each block is a (rows, cols) grid of at most ``_GRID_BLOCK`` points:
+    the index tuples of the trailing axes ``k..`` run along the columns,
+    those of the leading axes ``..k`` along the rows, in row-major order,
+    with ``k >= 1`` the fewest leading axes that let one row fit.  The
+    first maximum in row-major order wins, so ties go to the
+    lexicographically smallest index.
     """
     n = len(axes)
-    rest = axes[1:]
-    mesh = np.meshgrid(*rest, indexing="ij") if rest else []
-    rest_combos = (np.stack([m.ravel() for m in mesh], axis=1)
-                   if rest else np.zeros((1, 0)))
+    sizes = [a.size for a in axes]
+    terms = [_axis_terms(a, params.sensing_time) for a in axes]
+    k = 1
+    while math.prod(sizes[k:]) > _GRID_BLOCK:
+        k += 1
+    tail = math.prod(sizes[k:])
+    lead = math.prod(sizes[:k])
+    step = max(_GRID_BLOCK // tail, 1)
+    tail_index = _row_major_index(np.arange(tail), sizes[k:])
+    cols = [[t[i] for t in terms[d]] for d, i in zip(range(k, n), tail_index)]
     best_obj = -np.inf
-    best_idx = None
-    for i, r0 in enumerate(axes[0]):
-        combos = np.empty((rest_combos.shape[0], n))
-        combos[:, 0] = r0
-        combos[:, 1:] = rest_combos
-        obj = _grid_objective(combos, params, b)
+    best_flat = None
+    for start in range(0, lead, step):
+        lead_index = _row_major_index(
+            np.arange(start, min(start + step, lead)), sizes[:k])
+        rows = [[t[i, None] for t in terms[d]]
+                for d, i in enumerate(lead_index)]
+        obj = _grid_objective(rows + cols, params, b).ravel()
         j = int(np.argmax(obj))
         if obj[j] > best_obj:
             best_obj = float(obj[j])
-            best_idx = (i, j)
-    if best_idx is None or not math.isfinite(best_obj):
+            best_flat = start * tail + j
+    if best_flat is None:
         raise NoFeasiblePoint("no grid point satisfies the radio-on constraints")
-    i, j = best_idx
-    rates = np.empty(n)
-    rates[0] = axes[0][i]
-    rates[1:] = rest_combos[j]
-    index = np.array([i] + [int(k) for k in np.unravel_index(
-        j, [a.size for a in rest])] if rest else [i])
+    index = np.array(np.unravel_index(best_flat, sizes))
+    rates = np.array([a[i] for a, i in zip(axes, index)])
     return rates, best_obj, index
 
 
@@ -261,14 +300,20 @@ def brute_force_oracle(efficiencies, params: ContentionParams,
     Maximizes the utility under the exact radio-on constraints (not the
     relaxation) over ``grid_resolution`` points per device spanning
     [1, 10 * y*], then re-grids the cell around the winner once at the
-    same resolution.  Cost grows as resolution**n, so n is capped at 4.
+    same resolution.  Each search evaluates all ``grid_resolution ** n``
+    points, in blocks of at most ``_GRID_BLOCK`` (2**17) points, so memory
+    stays a few MB; ``grid_resolution ** n`` above ``MAX_GRID_POINTS``
+    (10 million; 50**4 is 6.25 million) is refused before any work.  At
+    n = 3 and the default resolution one call takes about 4 ms.
     """
     b = _validated_budgets(efficiencies)
     n = b.size
-    if n > 4:
-        raise ValueError("oracle supports at most 4 devices")
     if grid_resolution < 50:
         raise ValueError("grid_resolution must be >= 50")
+    if grid_resolution ** n > MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid_resolution ** n = {grid_resolution}**{n} exceeds the "
+            f"oracle's cap of {MAX_GRID_POINTS} grid points")
     scale = assign_rates(b, params).y_star
     lo, hi = 1.0, 10.0 * scale
     axes = [np.logspace(math.log10(lo), math.log10(hi), grid_resolution)
@@ -299,7 +344,9 @@ def brute_force_oracle(efficiencies, params: ContentionParams,
             if 0 <= nb < axis.size:
                 probe = rates.copy()
                 probe[d] = axis[nb]
-                val = _grid_objective(probe[None, :], params, b)[0]
+                val = _grid_objective(
+                    [_axis_terms(probe[e:e + 1], params.sensing_time)
+                     for e in range(n)], params, b)[0]
                 if math.isfinite(val):
                     span = max(span, abs(obj - val))
     return OracleResult(rates, obj, span, at_boundary)

@@ -181,3 +181,18 @@ def test_validate_rejects_zero_cycles(capsys):
                              "--cycles", "0")
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["type"] == "invalid_input"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--n", "3", "--oracle", "--grid", "10"), "grid_resolution must be"),
+    (("--n", "5", "--oracle"), "50**5 exceeds the oracle's cap"),
+    (("--n", "3", "--oracle", "--grid", "100000"), "100000**3 exceeds"),
+    (("--n", "0"), "--n must be >= 1"),
+])
+def test_gap_sweep_rejects_bad_sizes(capsys, argv, message):
+    code, out, err = run_cli(capsys, "gap-sweep", "--budgets", "0.5",
+                             "--ratio-list", "4e-3", *argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "invalid_input"
+    assert message in error["message"]

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -232,6 +233,15 @@ def test_oracle_rejections():
         brute_force_oracle([1e-7, 1e-7], PARAMS)
 
 
+def test_oracle_caps_grid_points_before_allocating():
+    assert 50 ** 4 <= solver.MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="100000\\*\\*3 exceeds"):
+        brute_force_oracle([1.0] * 3, PARAMS, grid_resolution=100_000)
+    with pytest.raises(ValueError, match="exceeds the oracle's cap"):
+        brute_force_oracle([1.0], PARAMS,
+                           grid_resolution=solver.MAX_GRID_POINTS + 1)
+
+
 def test_assign_rejects_zero_budget():
     with pytest.raises(DegenerateBudget):
         assign_rates([0.0, 2.0], PARAMS)
@@ -385,22 +395,24 @@ def axis_values(width):
         lambda a: np.logspace(a[0], a[0] + width, a[1]))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda n: st.lists(
            st.one_of(axis_values(1e-15), axis_values(0.5)),
            min_size=n, max_size=n)),
-       st.floats(0.05, 3.0), st.floats(-5.0, -2.01))
+       st.floats(0.05, 3.0), st.floats(-5.0, -2.01),
+       st.sampled_from([solver._GRID_BLOCK, 1, 5, 64]))
 def test_grid_search_equals_slice_reference_on_narrow_axes(axes, budget,
-                                                           log_ratio):
+                                                           log_ratio, block):
     params = ratio_params(10.0 ** log_ratio)
     b = np.full(len(axes), budget)
-    try:
-        want = slice_reference(axes, params, b)
-    except NoFeasiblePoint:
-        with pytest.raises(NoFeasiblePoint):
-            solver._best_on_axes(axes, params, b)
-        return
-    rates, obj, index = solver._best_on_axes(axes, params, b)
+    with mock.patch.object(solver, "_GRID_BLOCK", block):
+        try:
+            want = slice_reference(axes, params, b)
+        except NoFeasiblePoint:
+            with pytest.raises(NoFeasiblePoint):
+                solver._best_on_axes(axes, params, b)
+            return
+        rates, obj, index = solver._best_on_axes(axes, params, b)
     assert rates.tobytes() == want[0].tobytes()
     assert np.float64(obj).tobytes() == np.float64(want[1]).tobytes()
     assert np.array_equal(index, want[2])
