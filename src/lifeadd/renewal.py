@@ -17,7 +17,12 @@ columns row by row, which is the order ``np.bincount`` adds its weights
 in, and the skipped ``+ 0.0`` terms change nothing.  A lone column is
 summed pairwise, so for one device the column is rebuilt and summed as
 before.  The chunk size fixes the pairwise grouping of the cycle-length
-sums, so changing it moves the ``mean_cycle`` bits.
+sums, so changing ``_CHUNK`` moves the ``mean_cycle`` bits.
+
+Each chunk is drawn in row blocks of ``_BLOCK`` rows, and only the
+per-cycle first wake and the transmit indices outlive a block.  The
+block size moves no bits: split ``standard_exponential`` draws
+concatenate to the single draw, and a row minimum is exact in any order.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .formulas import (ContentionParams, _as_rates, attempt_probability,
                        success_time_fraction)
 
 _CHUNK = 200_000
+_BLOCK = 8_192  # rows drawn at once; any size gives the same bits
 
 
 @dataclass
@@ -68,6 +74,30 @@ def _reward_sums(rows, cols, value, cycle, n: int) -> np.ndarray:
     return np.array(sums)
 
 
+def _first_wakes(rng, r: np.ndarray, ts: float, m: int):
+    """Draw ``m`` cycles of residual sleep times, ``_BLOCK`` rows at a time.
+
+    Returns the per-cycle first wake time and the row-major (rows, cols)
+    of the devices that wake within ``ts`` of it, which transmit.  The row
+    minimum is taken column by column, which is faster than ``min(axis=1)``
+    on short rows.
+    """
+    first = np.empty(m)
+    rows, cols = [], []
+    for start in range(0, m, _BLOCK):
+        residual = rng.standard_exponential((min(_BLOCK, m - start), r.size))
+        residual /= r
+        block_first = first[start:start + residual.shape[0]]
+        block_first[:] = residual[:, 0]
+        for j in range(1, r.size):
+            np.minimum(block_first, residual[:, j], out=block_first)
+        block_rows, block_cols = np.nonzero(
+            residual < (block_first + ts)[:, None])
+        rows.append(block_rows + start)
+        cols.append(block_cols)
+    return first, np.concatenate(rows), np.concatenate(cols)
+
+
 def simulate_cycles(rates, params: ContentionParams, n_cycles: int,
                     seed: int) -> RenewalEstimates:
     """Run ``n_cycles`` renewal cycles and measure the four metrics."""
@@ -98,13 +128,7 @@ def simulate_cycles(rates, params: ContentionParams, n_cycles: int,
     while remaining > 0:
         m = min(remaining, _CHUNK)
         remaining -= m
-        residual = rng.standard_exponential((m, n))
-        residual /= r
-        first = residual.min(axis=1)
-        transmits = residual < (first + ts)[:, None]
-        del residual  # the (m, n) arrays go before the next chunk's draw
-        rows, cols = np.nonzero(transmits)
-        del transmits
+        first, rows, cols = _first_wakes(rng, r, ts, m)
         success = np.bincount(rows, minlength=m) == 1
         won = success[rows]
 
