@@ -304,7 +304,7 @@ def brute_force_oracle(efficiencies, params: ContentionParams,
     points, in blocks of at most ``_GRID_BLOCK`` (2**17) points, so memory
     stays a few MB; ``grid_resolution ** n`` above ``MAX_GRID_POINTS``
     (10 million; 50**4 is 6.25 million) is refused before any work.  At
-    n = 3 and the default resolution one call takes about 4 ms.
+    n = 3 and the default resolution one call takes about 10 ms.
     """
     b = _validated_budgets(efficiencies)
     n = b.size

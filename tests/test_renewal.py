@@ -147,22 +147,13 @@ def assert_same_bits(got: RenewalEstimates, want: RenewalEstimates):
 @pytest.mark.parametrize("n", [1, 2, 3, 30])
 def test_sparse_sums_equal_dense_reference_bit_for_bit(monkeypatch, n):
     # 2,001 cycles in chunks of 1,000: the last chunk has a single row.
+    # Blocks of 333 rows end each full chunk in a block of one row.
     monkeypatch.setattr(renewal, "_CHUNK", 1000)
     rates = np.linspace(2000.0, 9000.0, n) / n
-    for seed in (3, 4):
+    for block, seed in ((renewal._BLOCK, 3), (renewal._BLOCK, 4), (333, 6)):
+        monkeypatch.setattr(renewal, "_BLOCK", block)
         assert_same_bits(simulate_cycles(rates, PARAMS, 2001, seed),
                          dense_reference(rates, PARAMS, 2001, seed, 1000))
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 30])
-def test_row_blocks_equal_dense_reference_bit_for_bit(monkeypatch, n):
-    # Blocks of 333 rows: each 1,000-row chunk ends in a block of one row,
-    # and the last chunk is a single row.
-    monkeypatch.setattr(renewal, "_CHUNK", 1000)
-    monkeypatch.setattr(renewal, "_BLOCK", 333)
-    rates = np.linspace(2000.0, 9000.0, n) / n
-    assert_same_bits(simulate_cycles(rates, PARAMS, 2001, 6),
-                     dense_reference(rates, PARAMS, 2001, 6, 1000))
 
 
 def test_sparse_sums_equal_dense_reference_at_default_chunk():
