@@ -248,10 +248,6 @@ def _grid_objective(terms, params: ContentionParams,
     return obj
 
 
-def _row_major_index(flat: np.ndarray, shape: list[int]) -> tuple:
-    return np.unravel_index(flat, shape) if shape else ()
-
-
 def _best_on_axes(axes: list[np.ndarray], params: ContentionParams,
                   b: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     """Exhaustive search over the cartesian product of per-device axes.
@@ -271,13 +267,13 @@ def _best_on_axes(axes: list[np.ndarray], params: ContentionParams,
         k += 1
     tail = math.prod(sizes[k:])
     lead = math.prod(sizes[:k])
-    step = max(_GRID_BLOCK // tail, 1)
-    tail_index = _row_major_index(np.arange(tail), sizes[k:])
+    step = _GRID_BLOCK // tail
+    tail_index = np.unravel_index(np.arange(tail), sizes[k:]) if k < n else ()
     cols = [[t[i] for t in terms[d]] for d, i in zip(range(k, n), tail_index)]
     best_obj = -np.inf
     best_flat = None
     for start in range(0, lead, step):
-        lead_index = _row_major_index(
+        lead_index = np.unravel_index(
             np.arange(start, min(start + step, lead)), sizes[:k])
         rows = [[t[i, None] for t in terms[d]]
                 for d, i in enumerate(lead_index)]
