@@ -188,8 +188,10 @@ def test_validate_rejects_zero_cycles(capsys):
     (("--n", "5", "--oracle"), "50**5 exceeds the oracle's cap"),
     (("--n", "3", "--oracle", "--grid", "100000"), "100000**3 exceeds"),
     (("--n", "0"), "--n must be >= 1"),
+    (("--n", "2", "--budgets", "0"), "zero energy budget"),
+    (("--n", "2", "--budgets", "-1"), "must be finite and >= 0"),
 ])
-def test_gap_sweep_rejects_bad_sizes(capsys, argv, message):
+def test_gap_sweep_rejects_bad_input(capsys, argv, message):
     code, out, err = run_cli(capsys, "gap-sweep", "--budgets", "0.5",
                              "--ratio-list", "4e-3", *argv)
     assert code == 2 and out == ""
