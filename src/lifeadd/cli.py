@@ -19,11 +19,11 @@ from . import __version__
 from .formulas import (ContentionParams, radio_on_fraction,
                        success_probability, throughput)
 from .mac import run_baseline_dcf, run_config, run_lifeadd, select_rates
-from .renewal import simulate_cycles, validate_against_formulas
+from .renewal import N_SIGMA, simulate_cycles, validate_against_formulas
 from .report import emit_report, report_to_dict
 from .scenario import ParseError, ValidationError, parse_scenario
-from .solver import (assign_rates, brute_force_oracle, log_throughput_utility,
-                     optimality_bounds)
+from .solver import (NoFeasiblePoint, assign_rates, brute_force_oracle,
+                     log_throughput_utility, optimality_bounds)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -51,6 +51,15 @@ def _load(path: str):
         raise CliError(f"validation: {exc}") from None
     except OSError as exc:
         raise CliError(str(exc)) from None
+
+
+def _numbers(text: str, flag: str, kind=float) -> list:
+    """A comma-separated number list given on the command line."""
+    try:
+        return [kind(x) for x in text.split(",")]
+    except ValueError:
+        raise CliError(f"{flag} expects comma-separated {kind.__name__} "
+                       f"values, got {text!r}") from None
 
 
 def _write_or_print(data: bytes, out: str | None) -> None:
@@ -204,8 +213,8 @@ def cmd_validate(args) -> int:
             f"{row.metric:24s} {ids[row.device]:8s} {row.predicted:12.6f} "
             f"{row.measured:12.6f} {row.sigma:10.2e} {row.z:+7.2f} "
             f"{'ok' if row.ok else 'FAIL'}")
-    lines.append("verdict: " + ("all within 3 sigma" if all_ok
-                                else "OUTSIDE 3 sigma"))
+    lines.append(f"verdict: {'all within' if all_ok else 'OUTSIDE'} "
+                 f"{N_SIGMA:g} sigma")
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
@@ -216,12 +225,12 @@ def cmd_validate(args) -> int:
 def cmd_gap_sweep(args) -> int:
     if args.n < 1:
         raise CliError(f"--n must be >= 1, got {args.n}")
-    budgets = [float(x) for x in args.budgets.split(",")]
+    budgets = _numbers(args.budgets, "--budgets")
     if len(budgets) == 1 and args.n > 1:
         budgets = budgets * args.n
     if len(budgets) != args.n:
         raise CliError(f"--budgets needs 1 or {args.n} values")
-    ratios = [float(x) for x in args.ratio_list.split(",")]
+    ratios = _numbers(args.ratio_list, "--ratio-list")
     busy = args.busy_time
     header = f"{'ratio':>12s} {'lower':>14s} {'upper':>14s} {'gap':>12s}"
     if args.oracle:
@@ -241,6 +250,9 @@ def cmd_gap_sweep(args) -> int:
                       if args.oracle else None)
         except ValueError as exc:
             raise CliError(str(exc)) from None
+        except NoFeasiblePoint:
+            raise CliError(f"ratio {ratio:g}: no point of the oracle grid, "
+                           "which starts at 1 Hz, is feasible") from None
         line = f"{ratio:12.6g} {lower:14.6f} {upper:14.6f} {gap:12.6f}"
         if result is not None:
             achieved = log_throughput_utility(
@@ -256,7 +268,7 @@ def cmd_gap_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     config = _load(args.scenario)
-    seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
+    seeds = (_numbers(args.seeds, "--seeds", int) if args.seeds
              else [config.seed + k for k in range(5)])
     rows = []
     for seed in seeds:

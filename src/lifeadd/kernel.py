@@ -66,10 +66,6 @@ class EventQueue:
         self._seq = 0
         self._now = 0
 
-    @property
-    def now(self) -> int:
-        return self._now
-
     def schedule(self, time: int, kind: EventKind, device: int | None = None,
                  ap: int | None = None) -> Event:
         if time < self._now:
@@ -104,7 +100,6 @@ class RandomStream:
     def __init__(self, master_seed: int, stream_id: int) -> None:
         ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(stream_id,))
         self.generator = np.random.Generator(np.random.PCG64(ss))
-        self.stream_id = stream_id
 
     def uniform(self) -> float:
         """Uniform draw in (0, 1]."""

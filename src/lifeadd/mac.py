@@ -59,7 +59,7 @@ RENEWAL = "renewal"
 REALISTIC = "realistic"
 
 
-@dataclass
+@dataclass(frozen=True)
 class DcfParams:
     slot_s: float = 20e-6
     difs_s: float = 50e-6
@@ -115,9 +115,8 @@ class _Device:
         self.cw = 0
         self.residual_slots = 0
         self.countdown_start_ns = 0
-        self.backoff_interrupted = False
         # End of the running countdown; None while the station waits for
-        # a busy channel to clear or transmits.
+        # a busy channel to clear, after an interruption, or transmits.
         self.backoff_end_ns: int | None = None
         # accounting
         self.on_time_ns = 0         # radio on, sleep-wake only
@@ -144,13 +143,13 @@ class Simulation:
     def __init__(self, topology: Topology, profiles: list[EnergyProfile],
                  efficiencies, alphas, macs: list[str],
                  params: ContentionParams, duration_s: float, seed: int,
-                 mode: str = REALISTIC, dcf: DcfParams | None = None,
+                 mode: str = REALISTIC, dcf: DcfParams = DcfParams(),
                  packet_sampler=None, beacon_period_s: float = BEACON_PERIOD_S,
                  trace=None):
         self.topology = topology
         self.params = params
         self.mode = mode
-        self.dcf = dcf or DcfParams()
+        self.dcf = dcf
         self.seed = seed
         self.duration_ns = seconds_to_ns(duration_s)
         self.packet_sampler = packet_sampler
@@ -194,29 +193,27 @@ class Simulation:
 
     # -- energy ---------------------------------------------------------
 
-    def _drain(self, dev: _Device, now_ns: int) -> None:
-        """Apply wall-clock battery drain since the last update."""
+    def _drain(self, dev: _Device, now_ns: int) -> bool:
+        """Apply wall-clock drain since the last update; return dev.alive."""
         if not dev.alive or now_ns <= dev.last_drain_ns:
-            return
+            return dev.alive
         dt = (now_ns - dev.last_drain_ns) / NS_PER_S
         rate = dev.drain_rate
         level = dev.battery - rate * dt
         if level <= 0.0 and rate > 0:
             overshoot = -level
             self._kill(dev, now_ns - seconds_to_ns(overshoot / rate))
-            return
+            return False
         cap = dev.profile.battery_capacity
         dev.battery = (level if 0.0 <= level <= cap
                        else min(max(level, 0.0), cap))
         dev.last_drain_ns = now_ns
+        return True
 
     def _charge_radio(self, dev: _Device, now_ns: int, on_seconds: float,
                       window_start_ns: int | None = None) -> None:
         """Charge radio-on energy accrued up to now (sleep-wake only)."""
-        if not dev.alive:
-            return
-        self._drain(dev, now_ns)
-        if not dev.alive:
+        if not self._drain(dev, now_ns):
             return
         dev.on_time_ns += seconds_to_ns(on_seconds)
         dev.battery -= dev.profile.radio_on_power * on_seconds
@@ -344,10 +341,7 @@ class Simulation:
 
     def _on_wake(self, event: Event) -> None:
         dev, now_ns = self.devices[event.device], event.time
-        if not dev.alive:
-            return
-        self._drain(dev, now_ns)
-        if not dev.alive:
+        if not self._drain(dev, now_ns):
             return
         busy_until = self._sensed_busy_until(dev, now_ns)
         if busy_until is not None:
@@ -392,6 +386,7 @@ class Simulation:
             self._charge_radio(
                 dev, now_ns, ns_to_seconds(air_ns + self.ack_ns),
                 window_start_ns=tx.start)
+            # Even if _charge_radio killed dev: an over-count the digests pin.
             dev.mark_rate(now_ns)
             if success:
                 dev.congestion_factor = 1
@@ -426,13 +421,12 @@ class Simulation:
         """
         for other in listeners:
             if (not other.alive or other.backoff_end_ns is None
-                    or other.backoff_interrupted
                     or other.backoff_end_ns < now_ns + blind_ns):
                 continue
             elapsed = now_ns - (other.countdown_start_ns + self.difs_ns)
             consumed = max(0, elapsed) // self.slot_ns
             other.residual_slots = max(0, other.residual_slots - consumed)
-            other.backoff_interrupted = True
+            other.backoff_end_ns = None
 
     def _dcf_redraw(self, dev: _Device, success: bool) -> None:
         if success:
@@ -450,7 +444,6 @@ class Simulation:
             return
         wait_ns = seconds_to_ns(self.dcf.difs_s
                                 + dev.residual_slots * self.dcf.slot_s)
-        dev.backoff_interrupted = False
         dev.countdown_start_ns = now_ns
         dev.backoff_end_ns = now_ns + wait_ns
         self.queue.schedule(dev.backoff_end_ns, EventKind.BACKOFF_END,
@@ -459,12 +452,9 @@ class Simulation:
     def _on_backoff_end(self, event: Event) -> None:
         """The channel cleared or the countdown ran out: re-decide or send."""
         dev, now_ns = self.devices[event.device], event.time
-        if not dev.alive:
+        if not self._drain(dev, now_ns):
             return
-        self._drain(dev, now_ns)
-        if not dev.alive:
-            return
-        if dev.backoff_end_ns is None or dev.backoff_interrupted:
+        if dev.backoff_end_ns is None:
             self._dcf_decide(dev, now_ns)
             return
         dev.backoff_end_ns = None
@@ -588,9 +578,7 @@ class Simulation:
         duration_s = ns_to_seconds(self.duration_ns)
         rows = []
         for dev in self.devices:
-            if dev.alive:
-                self._drain(dev, self.duration_ns)
-            if dev.alive:
+            if self._drain(dev, self.duration_ns):
                 dev.mark_rate(self.duration_ns)
             alive_ns = (dev.death_ns if dev.death_ns is not None
                         else self.duration_ns)
@@ -599,7 +587,7 @@ class Simulation:
                 on_fraction = 1.0  # idle-listening: on whenever alive
             else:
                 on_fraction = ns_to_seconds(dev.on_time_ns) / alive_s
-            lifetime = self._lifetime(dev, alive_s)
+            lifetime = self._lifetime(dev, on_fraction)
             rows.append(DeviceMetrics(
                 device_id=str(dev.idx),
                 mac=dev.mac,
@@ -616,17 +604,12 @@ class Simulation:
                            prng=PRNG_ID, duration_s=duration_s)
         return report.finalize()
 
-    def _lifetime(self, dev: _Device, alive_s: float) -> float:
+    def _lifetime(self, dev: _Device, on_fraction: float) -> float:
         if dev.death_ns is not None:
             return ns_to_seconds(dev.death_ns)
         # Survived the run: extrapolate from the measured mean drain.
-        if dev.mac == DCF:
-            net = (dev.profile.radio_on_power + dev.profile.base_power
-                   - dev.profile.recharge_rate)
-        else:
-            on_frac = ns_to_seconds(dev.on_time_ns) / alive_s
-            net = (dev.profile.radio_on_power * on_frac
-                   + dev.profile.base_power - dev.profile.recharge_rate)
+        net = (dev.profile.radio_on_power * on_fraction
+               + dev.profile.base_power - dev.profile.recharge_rate)
         if net <= 0:
             return math.inf
         return ns_to_seconds(self.duration_ns) + dev.battery / net
@@ -673,7 +656,7 @@ def run_config(config, seed: int | None = None, mode: str | None = None,
         duration_s=config.duration_s,
         seed=config.seed if seed is None else seed,
         mode=mode or config.mode,
-        dcf=DcfParams(**config.dcf) if config.dcf else None,
+        dcf=config.dcf,
         packet_sampler=config.packet_sampler(),
         beacon_period_s=config.beacon_period_s,
         trace=trace,

@@ -37,6 +37,7 @@ from .formulas import (ContentionParams, _as_rates, attempt_probability,
 
 _CHUNK = 200_000
 _BLOCK = 8_192  # rows drawn at once; any size gives the same bits
+N_SIGMA = 3.0   # a measured metric within this many sigmas passes
 
 
 @dataclass
@@ -192,8 +193,8 @@ class ValidationRow:
 
 
 def validate_against_formulas(rates, params: ContentionParams,
-                              estimates: RenewalEstimates,
-                              n_sigma: float = 3.0) -> list[ValidationRow]:
+                              estimates: RenewalEstimates
+                              ) -> list[ValidationRow]:
     """Compare measured metrics to the closed forms, one row per metric."""
     r = np.asarray(rates, dtype=float)
     predictions = {
@@ -220,6 +221,6 @@ def validate_against_formulas(rates, params: ContentionParams,
                 predicted=float(predicted[dev]),
                 measured=float(values[dev]),
                 sigma=float(sigmas[dev]),
-                ok=bool(delta <= n_sigma * sigmas[dev]),
+                ok=bool(delta <= N_SIGMA * sigmas[dev]),
             ))
     return rows

@@ -8,15 +8,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import __version__
-
-CSV_COLUMNS = ("device_id", "mac", "mode", "throughput_bps",
-               "radio_on_fraction", "lifetime_s", "tx_success",
-               "tx_collision", "assigned_rate_hz", "mean_effective_rate_hz")
 
 
 class AllZero(ValueError):
@@ -56,6 +52,8 @@ def total_utility(throughputs_kbps) -> float:
 
 @dataclass
 class DeviceMetrics:
+    """One report row; the field order is the CSV and JSON column order."""
+
     device_id: str
     mac: str
     throughput_bps: float
@@ -110,13 +108,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _labelled(value: float):
+    """JSON has no infinity: write it as "inf"."""
+    return "inf" if math.isinf(value) else value
+
+
 def emit_csv(report: SimReport) -> bytes:
-    lines = [",".join(CSV_COLUMNS)]
+    columns = [f.name for f in fields(DeviceMetrics)]
+    columns.insert(columns.index("mac") + 1, "mode")  # the run's, every row
+    lines = [",".join(columns)]
     for d in report.devices:
-        lines.append(",".join(_fmt(v) for v in (
-            d.device_id, d.mac, report.mode, d.throughput_bps,
-            d.radio_on_fraction, d.lifetime_s, d.tx_success, d.tx_collision,
-            d.assigned_rate_hz, d.mean_effective_rate_hz)))
+        lines.append(",".join(
+            _fmt(report.mode if c == "mode" else getattr(d, c))
+            for c in columns))
     for key in ("jain", "total_utility_nats", "zero_throughput_devices",
                 "mean_lifetime_s", "mean_throughput_bps",
                 "ack_success_ratio", "seed", "mode", "prng", "version",
@@ -127,27 +131,13 @@ def emit_csv(report: SimReport) -> bytes:
 
 def report_to_dict(report: SimReport) -> dict:
     return {
-        "devices": [
-            {
-                "device_id": d.device_id,
-                "mac": d.mac,
-                "throughput_bps": d.throughput_bps,
-                "radio_on_fraction": d.radio_on_fraction,
-                "lifetime_s": ("inf" if math.isinf(d.lifetime_s)
-                               else d.lifetime_s),
-                "tx_success": d.tx_success,
-                "tx_collision": d.tx_collision,
-                "assigned_rate_hz": d.assigned_rate_hz,
-                "mean_effective_rate_hz": d.mean_effective_rate_hz,
-            }
-            for d in report.devices
-        ],
+        "devices": [{**asdict(d), "lifetime_s": _labelled(d.lifetime_s)}
+                    for d in report.devices],
         "aggregate": {
             "jain_index": report.jain,
             "total_utility_nats": report.total_utility_nats,
             "zero_throughput_devices": report.zero_throughput_devices,
-            "mean_lifetime_s": ("inf" if math.isinf(report.mean_lifetime_s)
-                                else report.mean_lifetime_s),
+            "mean_lifetime_s": _labelled(report.mean_lifetime_s),
             "mean_throughput_bps": report.mean_throughput_bps,
             "ack_success_ratio": report.ack_success_ratio,
         },

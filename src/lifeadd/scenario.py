@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .energy import (DEFAULT_BATTERY_VOLTAGE, EnergyProfile,
                      InfeasibleLifetime, energy_budget, joules_from_mah)
 from .formulas import ContentionParams
 from .kernel import NS_PER_S, seconds_to_ns
-from .mac import DcfParams
+from .mac import BEACON_PERIOD_S, DcfParams
 from .topology import Ranges, Topology, UnassociatedDevice, build_topology
 
 MACS = ("lifeadd", "dcf")
@@ -93,13 +93,19 @@ def _position(value, path: str) -> tuple[float, float]:
     return (_number(value[0], path + "[0]"), _number(value[1], path + "[1]"))
 
 
-def _energy_joules(value, path: str) -> float:
+def _energy_amount(value, path: str) -> tuple[float, float | None]:
+    """A battery quantity as (joules, None) or (mah, voltage)."""
     if isinstance(value, dict):
         _require(value, path, {"mah": True, "voltage": False})
         voltage = _number(value.get("voltage", DEFAULT_BATTERY_VOLTAGE),
                           path + ".voltage")
-        return joules_from_mah(_number(value["mah"], path + ".mah"), voltage)
-    return _number(value, path)
+        return _number(value["mah"], path + ".mah"), voltage
+    return _number(value, path), None
+
+
+def _joules(amount: float, voltage: float | None) -> float:
+    """Joules of an ``_energy_amount``; a ValueError when out of range."""
+    return amount if voltage is None else joules_from_mah(amount, voltage)
 
 
 @dataclass(frozen=True)
@@ -144,8 +150,8 @@ class ScenarioConfig:
     traffic: TrafficConfig
     duration_s: float
     seed: int
-    dcf: dict = field(default_factory=dict)
-    beacon_period_s: float = 0.1
+    dcf: DcfParams = DcfParams()
+    beacon_period_s: float = BEACON_PERIOD_S
     name: str = ""
     description: str = ""
 
@@ -231,14 +237,10 @@ def _build_config(raw: dict) -> ScenarioConfig:
     ranges_raw = raw["ranges"]
     _require(ranges_raw, "ranges", {"sensing": True, "interference": True,
                                     "communication": True})
+    radii = [_number(ranges_raw[k], f"ranges.{k}")
+             for k in ("sensing", "interference", "communication")]
     try:
-        ranges = Ranges(_number(ranges_raw["sensing"], "ranges.sensing"),
-                        _number(ranges_raw["interference"],
-                                "ranges.interference"),
-                        _number(ranges_raw["communication"],
-                                "ranges.communication"))
-    except ParseError:  # malformed, not merely out of range
-        raise
+        ranges = Ranges(*radii)
     except ValueError as exc:
         violations.append(f"ranges: {exc}")
         ranges = Ranges(1.0, 1.0, 1.0)
@@ -247,19 +249,16 @@ def _build_config(raw: dict) -> ScenarioConfig:
     _require(cont_raw, "contention", {"sensing_time_s": True,
                                       "packet_time_s": True,
                                       "ack_time_s": True})
+    timings = [_seconds(cont_raw[k], f"contention.{k}")
+               for k in ("sensing_time_s", "packet_time_s", "ack_time_s")]
     try:
-        contention = ContentionParams(
-            _seconds(cont_raw["sensing_time_s"], "contention.sensing_time_s"),
-            _seconds(cont_raw["packet_time_s"], "contention.packet_time_s"),
-            _seconds(cont_raw["ack_time_s"], "contention.ack_time_s"))
+        contention = ContentionParams(*timings)
         # The DES rounds both to whole ns: in a 0 ns window no device
         # transmits, and a 0 ns packet carries no throughput.
         for key, seconds in (("sensing_time_s", contention.sensing_time),
                              ("packet_time_s", contention.packet_time)):
             if seconds_to_ns(seconds) < 1:
                 violations.append(f"contention.{key} must be at least 1 ns")
-    except ParseError:  # malformed, not merely out of range
-        raise
     except ValueError as exc:
         violations.append(f"contention: {exc}")
         contention = ContentionParams(4e-6, 9e-4, 1e-4)
@@ -280,9 +279,10 @@ def _build_config(raw: dict) -> ScenarioConfig:
         contention=contention, traffic=traffic,
         duration_s=_seconds(raw["duration_s"], "duration_s"),
         seed=_integer(raw["seed"], "seed"),
-        dcf={k: _seconds(v, f"dcf.{k}") if k.endswith("_s")
-             else _integer(v, f"dcf.{k}") for k, v in dcf.items()},
-        beacon_period_s=_seconds(raw.get("beacon_period_s", 0.1),
+        dcf=DcfParams(**{k: _seconds(v, f"dcf.{k}") if k.endswith("_s")
+                         else _integer(v, f"dcf.{k}")
+                         for k, v in dcf.items()}),
+        beacon_period_s=_seconds(raw.get("beacon_period_s", BEACON_PERIOD_S),
                                  "beacon_period_s"),
         name=_string(raw.get("name", ""), "name"),
         description=_string(raw.get("description", ""), "description"),
@@ -330,23 +330,15 @@ def _parse_device(raw: dict, path: str, violations: list[str]) -> DeviceConfig:
     target = energy_raw.get("target_lifetime_s")
     if target is not None:
         target = _number(target, path + ".energy.target_lifetime_s")
+    initial = _energy_amount(energy_raw["initial_energy"],
+                             path + ".energy.initial_energy")
+    capacity = _energy_amount(energy_raw["battery_capacity"],
+                              path + ".energy.battery_capacity")
+    powers = [_number(energy_raw.get(k, 0.0), f"{path}.energy.{k}")
+              for k in ("radio_on_power_w", "base_power_w", "recharge_rate_w")]
     try:
-        profile = EnergyProfile(
-            initial_energy=_energy_joules(energy_raw["initial_energy"],
-                                          path + ".energy.initial_energy"),
-            battery_capacity=_energy_joules(
-                energy_raw["battery_capacity"],
-                path + ".energy.battery_capacity"),
-            radio_on_power=_number(energy_raw["radio_on_power_w"],
-                                   path + ".energy.radio_on_power_w"),
-            base_power=_number(energy_raw["base_power_w"],
-                               path + ".energy.base_power_w"),
-            recharge_rate=_number(energy_raw.get("recharge_rate_w", 0.0),
-                                  path + ".energy.recharge_rate_w"),
-            target_lifetime=target,
-        )
-    except ParseError:  # malformed, not merely out of range
-        raise
+        profile = EnergyProfile(_joules(*initial), _joules(*capacity),
+                                *powers, target_lifetime=target)
     except ValueError as exc:
         violations.append(f"{path}.energy: {exc}")
         profile = EnergyProfile(1.0, 1.0, 1.0, 0.0)
@@ -409,7 +401,7 @@ def _validate(config: ScenarioConfig, violations: list[str]) -> None:
             violations.append(f"ap {ap.id}: mac must be one of {MACS}")
     if not config.traffic.saturated:
         violations.append("only saturated traffic is supported")
-    dcf = DcfParams(**config.dcf)
+    dcf = config.dcf
     if seconds_to_ns(dcf.slot_s) < 1:  # the countdown divides by it
         violations.append("dcf.slot_s must be at least 1 ns")
     if dcf.difs_s < 0:

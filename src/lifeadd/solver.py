@@ -180,13 +180,13 @@ def optimality_bounds(efficiencies, params: ContentionParams
     b = _validated_budgets(efficiencies)
     n = b.size
     lt = params.busy_time
-    if b.sum() < 1.0:
-        value = log_throughput_utility(solve_subunit(b, params).rates, params)
+    assignment = assign_rates(b, params)
+    if assignment.case == SUB_UNIT:
+        value = log_throughput_utility(assignment.rates, params)
         return value, value, 0.0
-    c_star = water_filling_level(b)
-    y_star = optimal_total_rate(n, params)
+    y_star = assignment.y_star
     shared = n * math.log(params.packet_time / lt) + float(
-        np.log(np.minimum(b, c_star)).sum())
+        np.log(np.minimum(b, assignment.c_star)).sum())
     gap = (n * math.log1p(1.0 / (y_star * lt))
            + (n - 1) * y_star * params.sensing_time)
     upper = shared

@@ -85,17 +85,9 @@ class Topology:
         off_diagonal = ~np.eye(self.n_devices, dtype=bool)
         return bool(self.device_senses_device[off_diagonal].all())
 
-    def senses(self, a: int, b: int) -> bool:
-        """True when transmitters a and b can detect each other."""
-        return bool(self.device_senses_device[a, b])
-
     def devices_heard_by(self, ap: int) -> np.ndarray:
         """Devices within the AP's communication range, any association."""
         return np.flatnonzero(self.hears_ap[:, ap])
-
-    def beacon_sources(self, device: int) -> np.ndarray:
-        """APs whose beacons the device receives."""
-        return np.flatnonzero(self.hears_ap[device])
 
 
 def _pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -138,6 +138,15 @@ def test_compare_runs_and_reports_wins(tmp_path, capsys):
     assert set(payload["wins"]) == {"lifetime", "throughput", "jain", "ack"}
 
 
+def test_compare_rejects_non_integer_seeds(capsys):
+    code, out, err = run_cli(capsys, "compare", "--scenario", NEAR_FAR,
+                             "--seeds", "17,a")
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "invalid_input"
+    assert "--seeds expects" in error["message"]
+
+
 def test_solve_lists_ap_that_hears_no_device(tmp_path, capsys):
     scenario = json.loads(open(NEAR_FAR).read())
     scenario["aps"].append({"id": "lonely", "position": [
@@ -190,6 +199,9 @@ def test_validate_rejects_zero_cycles(capsys):
     (("--n", "0"), "--n must be >= 1"),
     (("--n", "2", "--budgets", "0"), "zero energy budget"),
     (("--n", "2", "--budgets", "-1"), "must be finite and >= 0"),
+    (("--n", "2", "--budgets", "abc"), "--budgets expects"),
+    (("--n", "2", "--ratio-list", "x"), "--ratio-list expects"),
+    (("--n", "2", "--budgets", "1e-7", "--oracle"), "starts at 1 Hz"),
 ])
 def test_gap_sweep_rejects_bad_input(capsys, argv, message):
     code, out, err = run_cli(capsys, "gap-sweep", "--budgets", "0.5",

@@ -292,6 +292,76 @@ def test_dcf_lifetime_below_lifeadd_on_identical_scenario():
         10.0 / (1.12 + 0.315 - 0.16), rel=1e-6)
 
 
+def dcf_pair():
+    """Two mutually sensing DCF stations, driven by hand (no run())."""
+    sim = Simulation(single_ap_topology(2), [big_profile()] * 2, [2.0] * 2,
+                     [11e6] * 2, ["dcf"] * 2, PARAMS, 1.0, 3,
+                     mode="realistic")
+    assert sim.dcf_sensing_device[1] == [sim.devices[0]]
+    return sim, sim.devices
+
+
+def start_countdown(sim, dev, residual_slots):
+    dev.residual_slots = residual_slots
+    sim._dcf_decide(dev, 0)
+    assert dev.backoff_end_ns == sim.difs_ns + residual_slots * sim.slot_ns
+
+
+def test_dcf_interruption_consumes_completed_slots_after_difs():
+    sim, (waiting, sender) = dcf_pair()
+    start_countdown(sim, waiting, 10)
+    # Three whole slots and part of a fourth have passed after DIFS.
+    now = sim.difs_ns + 3 * sim.slot_ns + sim.slot_ns // 4
+    sim._begin_transmission(sender, now)
+    assert waiting.residual_slots == 7
+    assert waiting.backoff_end_ns is None
+    # A second source keying up does not consume the frozen slots again.
+    sim._interrupt_dcf_countdowns(now + 2 * sim.slot_ns, [waiting],
+                                  blind_ns=sim.slot_ns)
+    assert waiting.residual_slots == 7
+
+
+def test_dcf_interruption_inside_difs_consumes_nothing():
+    sim, (waiting, sender) = dcf_pair()
+    start_countdown(sim, waiting, 10)
+    sim._begin_transmission(sender, sim.difs_ns - 1)
+    assert waiting.residual_slots == 10
+    assert waiting.backoff_end_ns is None
+
+
+def test_dcf_countdown_ending_in_the_blind_window_keeps_running():
+    sim, (waiting, sender) = dcf_pair()
+    start_countdown(sim, waiting, 2)
+    end = waiting.backoff_end_ns
+    sim._begin_transmission(sender, end - sim.slot_ns + 1)
+    assert waiting.residual_slots == 2
+    assert waiting.backoff_end_ns == end
+    event = sim.queue.next()
+    assert (event.kind, event.device, event.time) == (
+        EventKind.BACKOFF_END, waiting.idx, end)
+    sim._on_backoff_end(event)
+    assert waiting.current_tx is not None  # sends into the busy channel
+
+
+def test_dcf_interrupted_station_re_decides_at_its_old_end_time():
+    sim, (waiting, sender) = dcf_pair()
+    start_countdown(sim, waiting, 10)
+    old_end = waiting.backoff_end_ns
+    sim._begin_transmission(sender, sim.difs_ns + 3 * sim.slot_ns)
+    busy_until = sender.current_tx.end
+    event = sim.queue.next()
+    assert (event.kind, event.device, event.time) == (
+        EventKind.BACKOFF_END, waiting.idx, old_end)
+    sim._on_backoff_end(event)
+    # Re-decided on a busy channel: no send, wait for the channel to clear.
+    assert waiting.current_tx is None and waiting.backoff_end_ns is None
+    assert waiting.residual_slots == 7
+    pending = [sim.queue.next() for _ in range(len(sim.queue))]
+    assert [(e.kind, e.device, e.time) for e in pending] == [
+        (EventKind.TX_END, sender.idx, busy_until),
+        (EventKind.BACKOFF_END, waiting.idx, busy_until)]
+
+
 def test_near_far_fairness_ordering():
     cfg = parse_scenario("scenarios/near_far_pair.json")
     for seed in (17, 18):

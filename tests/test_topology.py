@@ -13,12 +13,12 @@ def test_near_far_asymmetric_interference():
         Ranges(sensing=70.0, interference=60.0, communication=55.0))
     assert topo.interferes_at[0, 1]       # d0 corrupts receptions at ap1
     assert not topo.interferes_at[1, 0]   # d1 cannot reach ap0
-    assert topo.senses(0, 1) and topo.senses(1, 0)
+    assert topo.device_senses_device[0, 1]
+    assert topo.device_senses_device[1, 0]
     assert topo.associated_ap.tolist() == [0, 1]
     assert set(topo.devices_heard_by(1)) == {0, 1}
     assert set(topo.devices_heard_by(0)) == {0}
-    assert set(topo.beacon_sources(0)) == {0, 1}
-    assert set(topo.beacon_sources(1)) == {1}
+    assert topo.hears_ap.tolist() == [[True, True], [False, True]]
 
 
 def test_colocated_nodes_form_complete_sensing_graph():
