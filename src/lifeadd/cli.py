@@ -20,7 +20,7 @@ from .formulas import (ContentionParams, radio_on_fraction,
                        success_probability, throughput)
 from .mac import run_baseline_dcf, run_config, run_lifeadd, select_rates
 from .renewal import N_SIGMA, simulate_cycles, validate_against_formulas
-from .report import emit_report, report_to_dict
+from .report import AGGREGATE, emit_report, json_key, report_to_dict
 from .scenario import ParseError, ValidationError, parse_scenario
 from .solver import (NoFeasiblePoint, assign_rates, brute_force_oracle,
                      log_throughput_utility, optimality_bounds)
@@ -127,22 +127,17 @@ def cmd_solve(args) -> int:
 
 
 def _summary_stats(reports) -> dict:
-    metrics = {
-        "jain_index": [r.jain for r in reports],
-        "total_utility_nats": [r.total_utility_nats for r in reports],
-        "mean_lifetime_s": [r.mean_lifetime_s for r in reports],
-        "mean_throughput_bps": [r.mean_throughput_bps for r in reports],
-        "ack_success_ratio": [r.ack_success_ratio for r in reports],
-    }
     out = {}
-    for name, values in metrics.items():
-        arr = np.asarray(values, dtype=float)
+    for key in AGGREGATE:
+        if key == "zero_throughput_devices":  # a count, not averaged
+            continue
+        arr = np.asarray([getattr(r, key) for r in reports], dtype=float)
         finite = arr[np.isfinite(arr)]
         if finite.size == 0:
-            out[name] = {"mean": "inf", "std": 0.0}
-            continue
-        std = float(finite.std(ddof=1)) if finite.size > 1 else 0.0
-        out[name] = {"mean": float(finite.mean()), "std": std}
+            out[json_key(key)] = {"mean": "inf", "std": 0.0}
+        else:
+            std = float(finite.std(ddof=1)) if finite.size > 1 else 0.0
+            out[json_key(key)] = {"mean": float(finite.mean()), "std": std}
     return out
 
 
@@ -150,6 +145,8 @@ def cmd_simulate(args) -> int:
     config = _load(args.scenario)
     if args.replications < 1:
         raise CliError("--replications must be >= 1")
+    if args.replications > 1 and args.format == "csv" and not args.out:
+        raise CliError("csv with --replications needs --out")
     seed0 = config.seed if args.seed is None else args.seed
     seeds = [seed0 + k for k in range(args.replications)]
     reports = []
@@ -169,8 +166,6 @@ def cmd_simulate(args) -> int:
         _write_or_print(emit_report(reports[0], args.format), args.out)
         return EXIT_OK
     if args.format == "csv":
-        if not args.out:
-            raise CliError("csv with --replications needs --out")
         for seed, report in zip(seeds, reports):
             Path(f"{args.out}.seed{seed}").write_bytes(
                 emit_report(report, "csv"))

@@ -5,18 +5,36 @@ floating-point drift; microsecond-scale MAC timings are exactly
 representable.  Ties dequeue in scheduling order via a sequence counter.
 Heap entries are named tuples ordered by ``(time, sequence)``: the
 sequence is unique, so a comparison never reaches the event kind.
+
+A ``RandomStream`` draws its doubles in blocks from the same PCG64
+stream a scalar caller would use, and the values it returns are those
+scalar ``Generator`` calls return.  Two rules keep that exact.  A
+Poisson draw with a finite mean below 10, and a weighted choice, are
+numpy's own algorithms on the buffered doubles (the multiplication
+method; a search of the normalized cumulative weights), which numpy
+feeds the same ``next_double`` values.  Every other draw first rewinds
+the generator past the doubles not yet consumed (``PCG64.advance`` by
+minus their count), keeping PCG64's buffered 32-bit half, which
+``integers`` reads and ``advance`` clears.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+from bisect import bisect_right
 from enum import Enum
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 import numpy as np
 
 NS_PER_S = 1_000_000_000
+
+# Doubles a RandomStream draws from its generator at once.
+_DRAW_BLOCK = 256
+
+# numpy's Poisson uses the multiplication method below this mean.
+_POISSON_MULT_MAX = 10.0
 
 # Recorded in report provenance so a run can be reproduced bit for bit.
 PRNG_ID = "numpy-pcg64/seedsequence-spawn"
@@ -51,7 +69,7 @@ class Event(NamedTuple):
 
 def seconds_to_ns(seconds: float) -> int:
     """Round a duration to integer nanoseconds, half up."""
-    return int(math.floor(seconds * NS_PER_S + 0.5))
+    return math.floor(seconds * NS_PER_S + 0.5)
 
 
 def ns_to_seconds(ns: int) -> float:
@@ -71,16 +89,17 @@ class EventQueue:
         if time < self._now:
             raise CausalityViolation(
                 f"cannot schedule {kind} at {time} ns; clock is at {self._now} ns")
-        event = Event(time, self._seq, kind, device, ap)
+        # tuple.__new__ skips the NamedTuple's Python-level constructor.
+        event = tuple.__new__(Event, (time, self._seq, kind, device, ap))
         self._seq += 1
-        heapq.heappush(self._heap, event)
+        heappush(self._heap, event)
         return event
 
     def next(self) -> Event:
         """Pop the earliest event, or an END_OF_SIM sentinel when empty."""
         if not self._heap:
             return Event(self._now, self._seq, EventKind.END_OF_SIM)
-        event = heapq.heappop(self._heap)
+        event = heappop(self._heap)
         if event.time < self._now:
             raise AssertionError("event queue lost monotonicity")
         self._now = event.time
@@ -94,38 +113,86 @@ class RandomStream:
     """One independent seeded substream of the master seed.
 
     The same (master_seed, stream_id) always yields the same draw
-    sequence, regardless of what other streams consumed.
+    sequence, regardless of what other streams consumed.  Doubles are
+    drawn ``_DRAW_BLOCK`` at a time; see the module docstring for why
+    the values equal one scalar ``Generator`` call per draw.
     """
 
     def __init__(self, master_seed: int, stream_id: int) -> None:
         ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(stream_id,))
-        self.generator = np.random.Generator(np.random.PCG64(ss))
+        self._generator = np.random.Generator(np.random.PCG64(ss))
+        self._doubles: list[float] = []   # pending draws, next one last
+
+    def _refill(self) -> list[float]:
+        doubles = self._generator.random(_DRAW_BLOCK).tolist()
+        doubles.reverse()
+        self._doubles = doubles
+        return doubles
+
+    def _sync(self) -> None:
+        """Rewind the generator past the doubles not yet consumed."""
+        unused = len(self._doubles)
+        if unused:
+            bit_generator = self._generator.bit_generator
+            state = bit_generator.state
+            bit_generator.advance(-unused)
+            # advance() also clears the buffered 32-bit half; keep it.
+            state["state"] = bit_generator.state["state"]
+            bit_generator.state = state
+            self._doubles = []
 
     def uniform(self) -> float:
         """Uniform draw in (0, 1]."""
-        return 1.0 - self.generator.random()
+        return 1.0 - (self._doubles or self._refill()).pop()
 
     def exponential(self, rate: float) -> float:
-        return sample_exponential(self, rate)
+        """Inverse-CDF exponential draw with mean 1/rate, in seconds.
+
+        Uses -log(u)/rate with u in (0, 1], so u == 1 yields exactly 0
+        rather than an infinite tail value.
+        """
+        if rate <= 0:
+            raise ValueError(f"rate must be > 0, got {rate}")
+        return -math.log(self.uniform()) / rate
 
     def poisson(self, mean: float) -> int:
         if mean < 0:
             raise ValueError("mean must be >= 0")
         if mean == 0:
             return 0
-        return int(self.generator.poisson(mean))
+        if not 0 < mean < _POISSON_MULT_MAX:  # also NaN and inf
+            self._sync()
+            return int(self._generator.poisson(mean))
+        # numpy's random_poisson_mult, on the same doubles.
+        limit = math.exp(-mean)
+        doubles = self._doubles
+        count = 0
+        prod = 1.0
+        while True:
+            if not doubles:
+                doubles = self._refill()
+            prod *= doubles.pop()
+            if prod <= limit:
+                return count
+            count += 1
 
     def integers(self, low: int, high: int) -> int:
         """Uniform integer in [low, high]."""
-        return int(self.generator.integers(low, high + 1))
+        self._sync()
+        return int(self._generator.integers(low, high + 1))
+
+    def choice(self, values, p) -> float:
+        """One of the numbers ``values``, drawn with probabilities ``p``.
+
+        ``Generator.choice(values, p=p)`` on the next double: the first
+        index whose normalized cumulative weight exceeds it.  ``p`` must
+        be valid weights; numpy's checks on it are not repeated.
+        """
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        u = (self._doubles or self._refill()).pop()
+        return float(values[bisect_right(cdf.tolist(), u)])
 
 
-def sample_exponential(stream: RandomStream, rate: float) -> float:
-    """Inverse-CDF exponential draw with mean 1/rate, in seconds.
-
-    Uses -log(u)/rate with u in (0, 1], so u == 1 yields exactly 0 rather
-    than an infinite tail value.
-    """
-    if rate <= 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
-    return -math.log(stream.uniform()) / rate
+# The exponential rule as a function of any object with a uniform().
+sample_exponential = RandomStream.exponential

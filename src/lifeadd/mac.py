@@ -35,6 +35,10 @@ Per-wake sensing inside a known-busy window is aggregated into one Poisson
 draw for the wake count (each wake costs one sensing time of energy); the
 first wake after the window is a fresh exponential by memorylessness, so
 the aggregation is exact.
+
+Each device draws from its own ``RandomStream``: doubles come in blocks
+from the device's PCG64 stream, and every value equals the scalar
+``Generator`` call's (``kernel`` states the rules that keep it so).
 """
 
 from __future__ import annotations
@@ -315,9 +319,11 @@ class Simulation:
     # -- sleep-wake device ---------------------------------------------
 
     def _schedule_wake(self, dev: _Device, from_ns: int) -> None:
-        delay = dev.stream.exponential(dev.effective_rate)
-        self.queue.schedule(from_ns + seconds_to_ns(delay),
-                            EventKind.WAKE, device=dev.idx)
+        # dev.effective_rate, inlined
+        delay = dev.stream.exponential(
+            dev.assigned_rate / dev.congestion_factor)
+        self.queue.schedule(from_ns + seconds_to_ns(delay), EventKind.WAKE,
+                            dev.idx)
 
     def _sleep_through_busy(self, dev: _Device, now_ns: int,
                             busy_until: int) -> None:
@@ -564,10 +570,12 @@ class Simulation:
                     EventKind.BACKOFF_END: self._on_backoff_end,
                     EventKind.BEACON: self._on_beacon,
                     EventKind.CYCLE_START: self._on_cycle_start}
+        next_event = self.queue.next
+        duration_ns = self.duration_ns
+        end = EventKind.END_OF_SIM
         while True:
-            event = self.queue.next()
-            if (event.kind is EventKind.END_OF_SIM
-                    or event.time >= self.duration_ns):
+            event = next_event()
+            if event.kind is end or event.time >= duration_ns:
                 break
             handlers[event.kind](event)
         return self._build_report()

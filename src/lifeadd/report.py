@@ -65,6 +65,17 @@ class DeviceMetrics:
     mean_effective_rate_hz: float
 
 
+# SimReport's aggregate and provenance fields, in output order.
+AGGREGATE = ("jain", "total_utility_nats", "zero_throughput_devices",
+             "mean_lifetime_s", "mean_throughput_bps", "ack_success_ratio")
+PROVENANCE = ("seed", "mode", "prng", "version", "duration_s")
+
+
+def json_key(name: str) -> str:
+    """The JSON name of a report field: ``jain`` is ``jain_index``."""
+    return "jain_index" if name == "jain" else name
+
+
 @dataclass
 class SimReport:
     mode: str
@@ -121,10 +132,7 @@ def emit_csv(report: SimReport) -> bytes:
         lines.append(",".join(
             _fmt(report.mode if c == "mode" else getattr(d, c))
             for c in columns))
-    for key in ("jain", "total_utility_nats", "zero_throughput_devices",
-                "mean_lifetime_s", "mean_throughput_bps",
-                "ack_success_ratio", "seed", "mode", "prng", "version",
-                "duration_s"):
+    for key in AGGREGATE + PROVENANCE:
         lines.append(f"# {key}={_fmt(getattr(report, key))}")
     return ("\n".join(lines) + "\n").encode()
 
@@ -133,21 +141,9 @@ def report_to_dict(report: SimReport) -> dict:
     return {
         "devices": [{**asdict(d), "lifetime_s": _labelled(d.lifetime_s)}
                     for d in report.devices],
-        "aggregate": {
-            "jain_index": report.jain,
-            "total_utility_nats": report.total_utility_nats,
-            "zero_throughput_devices": report.zero_throughput_devices,
-            "mean_lifetime_s": _labelled(report.mean_lifetime_s),
-            "mean_throughput_bps": report.mean_throughput_bps,
-            "ack_success_ratio": report.ack_success_ratio,
-        },
-        "provenance": {
-            "seed": report.seed,
-            "mode": report.mode,
-            "prng": report.prng,
-            "version": report.version,
-            "duration_s": report.duration_s,
-        },
+        "aggregate": {json_key(key): _labelled(getattr(report, key))
+                      for key in AGGREGATE},
+        "provenance": {key: getattr(report, key) for key in PROVENANCE},
     }
 
 

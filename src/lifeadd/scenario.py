@@ -200,7 +200,7 @@ class ScenarioConfig:
             weights = np.asarray(pb.weights) / sum(pb.weights)
 
             def sampler(dev):
-                size = float(dev.stream.generator.choice(choices, p=weights))
+                size = dev.stream.choice(choices, weights)
                 return size * 8.0 / dev.alpha
             return sampler
         return lambda dev: pb * 8.0 / dev.alpha

@@ -79,6 +79,9 @@ def test_simulate_replications_summary(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert len(payload["replications"]) == 2
     assert "mean" in payload["summary"]["mean_throughput_bps"]
+    assert list(payload["summary"]) == [
+        "jain_index", "total_utility_nats", "mean_lifetime_s",
+        "mean_throughput_bps", "ack_success_ratio"]
     seeds = [r["provenance"]["seed"] for r in payload["replications"]]
     assert seeds == [3, 4]
 
@@ -183,6 +186,17 @@ def test_simulate_rejects_zero_replications(capsys):
                              "--replications", "0")
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["type"] == "invalid_input"
+
+
+def test_simulate_csv_replications_without_out_fails_before_running(
+        tmp_path, capsys):
+    trace = tmp_path / "tr"
+    code, out, err = run_cli(capsys, "simulate", "--scenario", NEAR_FAR,
+                             "--replications", "3", "--format", "csv",
+                             "--trace", str(trace))
+    assert code == 2 and out == ""
+    assert "needs --out" in json.loads(err)["error"]["message"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_validate_rejects_zero_cycles(capsys):

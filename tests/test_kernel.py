@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from lifeadd.kernel import (CausalityViolation, EventKind, EventQueue,
+from lifeadd.kernel import (CausalityViolation, Event, EventKind, EventQueue,
                             RandomStream, sample_exponential, seconds_to_ns)
 
 
@@ -52,6 +54,29 @@ def test_scheduling_in_the_past_is_rejected():
     with pytest.raises(CausalityViolation):
         q.schedule(9, EventKind.WAKE, device=0)
     q.schedule(10, EventKind.WAKE, device=0)  # present is fine
+
+
+def test_popped_events_are_event_tuples():
+    q = EventQueue()
+    q.schedule(3, EventKind.TX_END, 2, ap=1)
+    event = q.next()
+    assert type(event) is Event
+    assert event._fields == ("time", "sequence", "kind", "device", "ap")
+    assert event == Event(3, 0, EventKind.TX_END, 2, 1)
+
+
+@pytest.mark.parametrize("seconds", [2.5e-6, np.float64(2.5e-6)])
+def test_seconds_to_ns_returns_python_int(seconds):
+    ns = seconds_to_ns(seconds)
+    assert type(ns) is int and ns == 2500
+
+
+@pytest.mark.parametrize("seconds, error", [
+    (math.nan, ValueError), (math.inf, OverflowError),
+    (np.float64("nan"), ValueError), (-np.float64("inf"), OverflowError)])
+def test_seconds_to_ns_rejects_non_finite(seconds, error):
+    with pytest.raises(error):
+        seconds_to_ns(seconds)
 
 
 def test_rounding_half_up():
@@ -109,5 +134,71 @@ def test_streams_are_reproducible_and_independent():
 def test_poisson_edge():
     stream = RandomStream(5, 0)
     assert stream.poisson(0.0) == 0
-    with pytest.raises(ValueError):
-        stream.poisson(-1.0)
+    for mean in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            stream.poisson(mean)
+
+
+BELOW_TEN = math.nextafter(10.0, 0.0)
+
+# (kind, argument) pairs; a "uniform" argument is a burst length, long
+# enough that a few bursts cross a draw-block boundary.
+DRAWS = st.one_of(
+    st.tuples(st.just("uniform"), st.integers(1, 300)),
+    st.tuples(st.just("exponential"), st.floats(1e-3, 1e6)),
+    st.tuples(st.just("poisson"),
+              st.sampled_from([1e-300, BELOW_TEN, 10.0, 250.0])
+              | st.floats(0.0, 10.0, exclude_min=True, exclude_max=True)),
+    st.tuples(st.just("integers"), st.integers(0, 1023)),
+    st.tuples(st.just("choice"),
+              st.lists(st.floats(0.01, 100.0), min_size=1, max_size=6)),
+)
+
+
+def _packet_mix(weights):
+    """Sizes and normalized weights, as the scenario's packet sampler."""
+    return (200.0 + 100.0 * np.arange(len(weights)),
+            np.asarray(weights) / sum(weights))
+
+
+def _stream_draw(stream, kind, arg):
+    if kind == "uniform":
+        return [stream.uniform() for _ in range(arg)]
+    if kind == "exponential":
+        return stream.exponential(arg)
+    if kind == "poisson":
+        return stream.poisson(arg)
+    if kind == "integers":
+        return stream.integers(0, arg)
+    return stream.choice(*_packet_mix(arg))
+
+
+def _scalar_draw(generator, kind, arg):
+    """The same draw as one scalar Generator call per value."""
+    if kind == "uniform":
+        return [1.0 - generator.random() for _ in range(arg)]
+    if kind == "exponential":
+        return -math.log(1.0 - generator.random()) / arg
+    if kind == "poisson":
+        return int(generator.poisson(arg))
+    if kind == "integers":
+        return int(generator.integers(0, arg + 1))
+    sizes, weights = _packet_mix(arg)
+    return float(generator.choice(sizes, p=weights))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**63), st.integers(0, 63), st.lists(DRAWS, max_size=40))
+# integers after an odd number of integers calls, across buffered doubles
+@example(0, 0, [("integers", 31), ("uniform", 1), ("integers", 31)])
+# a Poisson draw whose product runs across a block boundary
+@example(1, 2, [("uniform", 250)] + [("poisson", BELOW_TEN)] * 3)
+def test_block_draws_equal_scalar_generator_calls(seed, stream_id, draws):
+    stream = RandomStream(seed, stream_id)
+    generator = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(seed, spawn_key=(stream_id,))))
+    # The trailing draws check that both consumed the same amount.
+    for kind, arg in draws + [("integers", 2**31), ("integers", 2**40),
+                              ("uniform", 1)]:
+        assert (_stream_draw(stream, kind, arg)
+                == _scalar_draw(generator, kind, arg)), (kind, arg)
