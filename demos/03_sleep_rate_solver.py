@@ -24,7 +24,7 @@ for budgets in ([0.2, 0.3, 0.9], [0.2, 0.3, 0.4]):
         capped = "capped at c*" if budgets[i] >= a.c_star else "budget-bound"
         print(f"  device {i}: rate {rate:9,.1f} 1/s  ({capped}), "
               f"predicted on-fraction "
-              f"{radio_on_fraction(a.rates, params, i):.4f}")
+              f"{radio_on_fraction(a.rates, params)[i]:.4f}")
     slack = energy_slack(a.rates, params, np.asarray(budgets))
     print(f"  budget slack per device: {np.round(slack, 4)}")
     lower, upper, gap = optimality_bounds(budgets, params)

@@ -8,7 +8,8 @@ cannot trade at all: its lifetime is pinned by the always-on radio.
 
 import dataclasses
 
-from lifeadd import parse_scenario, run_baseline_dcf, run_lifeadd
+from lifeadd import parse_scenario
+from lifeadd.mac import DCF, LIFEADD, REALISTIC, run_config
 
 base = parse_scenario("scenarios/single_ap_lifetime.json")
 
@@ -26,11 +27,11 @@ for target in (45.0, 72.0, 108.0):
         d, energy=dataclasses.replace(d.energy, target_lifetime=target))
         for d in base.devices]
     config = dataclasses.replace(base, devices=devices)
-    rep = run_lifeadd(config, seed=11, mode="realistic")
+    rep = run_config(config, seed=11, mode=REALISTIC, mac_override=LIFEADD)
     lifetime = min(d.lifetime_s for d in rep.devices)
     print(f"{target:10.0f} {lifetime:22.1f} {while_alive_mbps(rep):30.3f}")
 
-baseline = run_baseline_dcf(base, seed=11)
+baseline = run_config(base, seed=11, mode=REALISTIC, mac_override=DCF)
 lifetime = min(d.lifetime_s for d in baseline.devices)
 print(f"{'baseline':>10s} {lifetime:22.1f} "
       f"{while_alive_mbps(baseline):30.3f}   (any target)")

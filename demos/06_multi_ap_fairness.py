@@ -7,15 +7,14 @@ AP's beacon, sees two contenders there, and adopts the slower rate the
 crowd calls for; timeouts additionally damp the far device's rate.
 """
 
-from lifeadd import parse_scenario, run_baseline_dcf, run_lifeadd
+from lifeadd import parse_scenario
+from lifeadd.mac import DCF, LIFEADD, REALISTIC, run_config
 
 config = parse_scenario("scenarios/near_far_pair.json")
 
-for label, run in (("sleep-wake + collaboration",
-                    lambda: run_lifeadd(config, seed=17)),
-                   ("idle-listening baseline",
-                    lambda: run_baseline_dcf(config, seed=17))):
-    rep = run()
+for label, mode, mac in (("sleep-wake + collaboration", None, LIFEADD),
+                         ("idle-listening baseline", REALISTIC, DCF)):
+    rep = run_config(config, seed=17, mode=mode, mac_override=mac)
     near, far = rep.devices
     print(label)
     print(f"  near device: {near.throughput_bps / 1e6:6.2f} Mbps "

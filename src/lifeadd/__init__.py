@@ -26,16 +26,15 @@ from .formulas import (ContentionParams, RateVector, attempt_probability,
                        success_probability, success_time_fraction,
                        throughput)
 from .kernel import (CausalityViolation, Event, EventKind, EventQueue,
-                     RandomStream, sample_exponential)
-from .mac import (DcfParams, run_baseline_dcf, run_config, run_lifeadd,
-                  select_rates)
+                     RandomStream)
+from .mac import DcfParams, run_config, select_rates
 from .renewal import simulate_cycles, validate_against_formulas
 from .report import (AllZero, SimReport, emit_report, jain_index,
                      total_utility)
 from .scenario import (ParseError, ScenarioConfig, ValidationError,
                        parse_scenario)
 from .solver import (DegenerateBudget, NoFeasiblePoint, OracleResult,
-                     SleepRateAssignment, SubUnitRegime, SuperUnitRegime,
-                     assign_rates, brute_force_oracle, optimal_total_rate,
-                     optimality_bounds, solve_subunit, water_filling_level)
+                     SleepRateAssignment, SubUnitRegime, assign_rates,
+                     brute_force_oracle, optimal_total_rate,
+                     optimality_bounds, water_filling_level)
 from .topology import Ranges, Topology, UnassociatedDevice, build_topology

@@ -18,10 +18,11 @@ import numpy as np
 from . import __version__
 from .formulas import (ContentionParams, radio_on_fraction,
                        success_probability, throughput)
-from .mac import run_baseline_dcf, run_config, run_lifeadd, select_rates
+from .mac import (DCF, LIFEADD, MACS, MODES, REALISTIC, RENEWAL,
+                  renewal_violations, run_config, select_rates)
 from .renewal import N_SIGMA, simulate_cycles, validate_against_formulas
 from .report import AGGREGATE, emit_report, json_key, report_to_dict
-from .scenario import ParseError, ValidationError, parse_scenario
+from .scenario import SEEDS, ParseError, ValidationError, parse_scenario
 from .solver import (NoFeasiblePoint, assign_rates, brute_force_oracle,
                      log_throughput_utility, optimality_bounds)
 
@@ -60,6 +61,14 @@ def _numbers(text: str, flag: str, kind=float) -> list:
     except ValueError:
         raise CliError(f"{flag} expects comma-separated {kind.__name__} "
                        f"values, got {text!r}") from None
+
+
+def _checked_seeds(seeds: list[int]) -> list[int]:
+    """The seeds a command will run, each in the scenario seed range."""
+    for seed in seeds:
+        if seed not in SEEDS:
+            raise CliError(f"seed {seed} is outside [0, 2**64)")
+    return seeds
 
 
 def _write_or_print(data: bytes, out: str | None) -> None:
@@ -108,12 +117,12 @@ def cmd_solve(args) -> int:
             "associated_ap": config.aps[home].id,
             "predicted": {
                 "throughput_bps": float(throughput(
-                    domain_rates, config.contention, local,
-                    alpha=config.devices[d].alpha_bps)),
+                    domain_rates, config.contention,
+                    alpha=config.devices[d].alpha_bps)[local]),
                 "radio_on_fraction": float(radio_on_fraction(
-                    domain_rates, config.contention, local)),
+                    domain_rates, config.contention)[local]),
                 "win_probability": float(success_probability(
-                    domain_rates, config.contention, local)),
+                    domain_rates, config.contention)[local]),
             },
         })
 
@@ -148,7 +157,13 @@ def cmd_simulate(args) -> int:
     if args.replications > 1 and args.format == "csv" and not args.out:
         raise CliError("csv with --replications needs --out")
     seed0 = config.seed if args.seed is None else args.seed
-    seeds = [seed0 + k for k in range(args.replications)]
+    seeds = _checked_seeds([seed0 + k for k in range(args.replications)])
+    if (args.mode or config.mode) == RENEWAL:
+        topology = config.build_topology()
+        violations = renewal_violations(
+            config.device_macs(topology, args.mac), topology)
+        if violations:
+            raise CliError("; ".join(violations))
     reports = []
     for k, seed in enumerate(seeds):
         trace = None
@@ -185,15 +200,15 @@ def cmd_validate(args) -> int:
     config = _load(args.scenario)
     if args.cycles < 1:
         raise CliError("--cycles must be >= 1")
+    seed = config.seed if args.seed is None else args.seed
+    _checked_seeds([seed])
     topology = config.build_topology()
     if not topology.single_collision_domain:
         raise CliError(
             "validate requires all devices within sensing range of each other")
     effs = config.efficiencies()
     rates, _ = select_rates(topology, effs, config.contention)
-    estimates = simulate_cycles(rates, config.contention, args.cycles,
-                                seed=config.seed if args.seed is None
-                                else args.seed)
+    estimates = simulate_cycles(rates, config.contention, args.cycles, seed)
     rows = validate_against_formulas(rates, config.contention, estimates)
     ids = config.device_ids()
     lines = [f"cycles={estimates.n_cycles} mean_cycle_s="
@@ -241,7 +256,7 @@ def cmd_gap_sweep(args) -> int:
                            f"{exc}") from None
         try:
             lower, upper, gap = optimality_bounds(budgets, params)
-            result = (brute_force_oracle(budgets, params, args.grid)
+            result = (brute_force_oracle(budgets, params)
                       if args.oracle else None)
         except ValueError as exc:
             raise CliError(str(exc)) from None
@@ -263,12 +278,13 @@ def cmd_gap_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     config = _load(args.scenario)
-    seeds = (_numbers(args.seeds, "--seeds", int) if args.seeds
-             else [config.seed + k for k in range(5)])
+    seeds = _checked_seeds(_numbers(args.seeds, "--seeds", int) if args.seeds
+                           else [config.seed + k for k in range(5)])
     rows = []
     for seed in seeds:
-        life = run_lifeadd(config, seed=seed, mode="realistic")
-        base = run_baseline_dcf(config, seed=seed)
+        life = run_config(config, seed=seed, mode=REALISTIC,
+                          mac_override=LIFEADD)
+        base = run_config(config, seed=seed, mode=REALISTIC, mac_override=DCF)
         rows.append((seed, life, base))
 
     def fmt_lifetime(value: float) -> str:
@@ -329,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--trace")
     p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--mode", choices=("renewal", "realistic"))
-    p.add_argument("--mac", choices=("lifeadd", "dcf"))
+    p.add_argument("--mode", choices=MODES)
+    p.add_argument("--mac", choices=MACS)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("validate",
@@ -348,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--busy-time", type=float, default=1e-3,
                    help="packet+ACK duration in seconds (default 1 ms)")
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--grid", type=int, default=50)
     p.set_defaults(func=cmd_gap_sweep)
 
     p = sub.add_parser("compare",

@@ -87,25 +87,17 @@ def _as_rates(rates) -> np.ndarray:
     return RateVector(np.asarray(rates, dtype=float)).rates
 
 
-def _pick(values: np.ndarray, n: int | None):
-    if n is None:
-        return values
-    return float(values[n])
-
-
-def success_probability(rates, params: ContentionParams, n: int | None = None):
-    """Probability that a device wins the channel in one cycle.
+def success_probability(rates, params: ContentionParams) -> np.ndarray:
+    """Probability that each device wins the channel in one cycle.
 
     Device n wins when every other residual sleep exceeds its own by more
     than the sensing time.  Evaluated in log space so large rate-times-
-    sensing products cannot overflow.  Returns the full vector when ``n``
-    is None.
+    sensing products cannot overflow.
     """
     r = _as_rates(rates)
     y = r.sum()
     ts = params.sensing_time
-    beta = np.exp(np.log(r) + r * ts - math.log(y) - y * ts)
-    return _pick(beta, n)
+    return np.exp(np.log(r) + r * ts - math.log(y) - y * ts)
 
 
 def collision_probability(rates, params: ContentionParams) -> float:
@@ -114,8 +106,8 @@ def collision_probability(rates, params: ContentionParams) -> float:
     return float(max(0.0, 1.0 - beta.sum()))
 
 
-def attempt_probability(rates, params: ContentionParams, n: int | None = None):
-    """Probability that a device transmits in a cycle, win or collide.
+def attempt_probability(rates, params: ContentionParams) -> np.ndarray:
+    """Probability that each device transmits in a cycle, win or collide.
 
     Device n transmits unless some other device woke more than the sensing
     time before it: either its residual sleep is shorter than the sensing
@@ -125,13 +117,11 @@ def attempt_probability(rates, params: ContentionParams, n: int | None = None):
     r = _as_rates(rates)
     y = r.sum()
     ts = params.sensing_time
-    gamma = -np.expm1(-r * ts) + np.exp(-r * ts) * r / y
-    return _pick(gamma, n)
+    return -np.expm1(-r * ts) + np.exp(-r * ts) * r / y
 
 
-def success_time_fraction(rates, params: ContentionParams,
-                          n: int | None = None):
-    """Long-run fraction of time a device spends transmitting successfully.
+def success_time_fraction(rates, params: ContentionParams) -> np.ndarray:
+    """Long-run fraction of time each device spends transmitting successfully.
 
     Renewal reward: the expected successful airtime per cycle over the
     expected cycle length (idle 1/sum(rates), busy packet + ACK).
@@ -139,19 +129,18 @@ def success_time_fraction(rates, params: ContentionParams,
     r = _as_rates(rates)
     y = r.sum()
     beta = success_probability(r, params)
-    p = beta * params.packet_time / (params.busy_time + 1.0 / y)
-    return _pick(p, n)
+    return beta * params.packet_time / (params.busy_time + 1.0 / y)
 
 
-def throughput(rates, params: ContentionParams, n: int | None = None,
-               alpha: float | np.ndarray = 1.0):
+def throughput(rates, params: ContentionParams,
+               alpha: float | np.ndarray = 1.0) -> np.ndarray:
     """Throughput in the units of ``alpha`` (bits/s per unit airtime)."""
     p = success_time_fraction(rates, params)
-    return _pick(p * np.asarray(alpha, dtype=float), n)
+    return p * np.asarray(alpha, dtype=float)
 
 
-def radio_on_fraction(rates, params: ContentionParams, n: int | None = None):
-    """Long-run fraction of time a device's radio is on.
+def radio_on_fraction(rates, params: ContentionParams) -> np.ndarray:
+    """Long-run fraction of time each device's radio is on.
 
     The radio is on while transmitting (successfully or colliding) and
     while waiting for the ACK or timeout, so each attempt costs
@@ -161,8 +150,7 @@ def radio_on_fraction(rates, params: ContentionParams, n: int | None = None):
     y = r.sum()
     ts = params.sensing_time
     numer = -np.expm1(-r * ts) * y + np.exp(-r * ts) * r
-    on = numer / (y + 1.0 / params.busy_time)
-    return _pick(on, n)
+    return numer / (y + 1.0 / params.busy_time)
 
 
 def log_throughput_utility(rates, params: ContentionParams,

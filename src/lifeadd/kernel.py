@@ -192,7 +192,3 @@ class RandomStream:
         cdf /= cdf[-1]
         u = (self._doubles or self._refill()).pop()
         return float(values[bisect_right(cdf.tolist(), u)])
-
-
-# The exponential rule as a function of any object with a uniform().
-sample_exponential = RandomStream.exponential

@@ -10,7 +10,7 @@
   the rest sleep through the busy period, and the congestion factor stays
   at 1.  This reproduces the analytic cycle structure exactly and exists
   for formula validation; it needs one collision domain of Life-Add
-  devices.
+  devices (``renewal_violations``).
 
 * realistic (every other handler): devices run independent timers, so
   the event handlers carry what the renewal model omits:
@@ -61,6 +61,8 @@ LIFEADD = "lifeadd"
 DCF = "dcf"
 RENEWAL = "renewal"
 REALISTIC = "realistic"
+MACS = (LIFEADD, DCF)
+MODES = (RENEWAL, REALISTIC)
 
 
 @dataclass(frozen=True)
@@ -189,11 +191,9 @@ class Simulation:
                                for ap in range(topology.n_aps)]
 
         if mode == RENEWAL:
-            if any(d.mac != LIFEADD for d in self.devices):
-                raise ValueError("renewal mode requires every AP on lifeadd")
-            if not topology.single_collision_domain:
-                raise ValueError(
-                    "renewal mode requires all devices to sense each other")
+            violations = renewal_violations(macs, topology)
+            if violations:
+                raise ValueError("; ".join(violations))
 
     # -- energy ---------------------------------------------------------
 
@@ -623,6 +623,21 @@ class Simulation:
         return ns_to_seconds(self.duration_ns) + dev.battery / net
 
 
+def renewal_violations(macs, topology: Topology) -> list[str]:
+    """What stops the renewal engine from running ``macs`` on ``topology``.
+
+    The engine models one collision domain of Life-Add devices; an empty
+    list means it can run.
+    """
+    violations = []
+    if any(m != LIFEADD for m in macs):
+        violations.append("renewal mode requires every AP on lifeadd")
+    if not topology.single_collision_domain:
+        violations.append("renewal mode requires all devices within sensing "
+                          "range of each other")
+    return violations
+
+
 def select_rates(topology: Topology, efficiencies, params: ContentionParams,
                  include=None) -> tuple[list[float | None], list]:
     """The rate plan: per-AP assignments, then each device's minimum.
@@ -674,15 +689,3 @@ def run_config(config, seed: int | None = None, mode: str | None = None,
         row.device_id = ids[i]
     return report
 
-
-def run_lifeadd(config, seed: int | None = None,
-                mode: str | None = None, trace=None) -> SimReport:
-    """Run the scenario with every AP on the sleep-wake MAC."""
-    return run_config(config, seed=seed, mode=mode, mac_override=LIFEADD,
-                      trace=trace)
-
-
-def run_baseline_dcf(config, seed: int | None = None, trace=None) -> SimReport:
-    """Run the scenario with every AP on the idle-listening DCF baseline."""
-    return run_config(config, seed=seed, mode=REALISTIC, mac_override=DCF,
-                      trace=trace)

@@ -21,11 +21,11 @@ from .energy import (DEFAULT_BATTERY_VOLTAGE, EnergyProfile,
                      InfeasibleLifetime, energy_budget, joules_from_mah)
 from .formulas import ContentionParams
 from .kernel import NS_PER_S, seconds_to_ns
-from .mac import BEACON_PERIOD_S, DcfParams
+from .mac import (BEACON_PERIOD_S, MACS, MODES, RENEWAL, DcfParams,
+                  renewal_violations)
 from .topology import Ranges, Topology, UnassociatedDevice, build_topology
 
-MACS = ("lifeadd", "dcf")
-MODES = ("renewal", "realistic")
+SEEDS = range(2**64)  # the seeds a scenario file or the command line may give
 
 
 class ParseError(ValueError):
@@ -173,17 +173,12 @@ class ScenarioConfig:
         return build_topology([a.position for a in self.aps],
                               [d.position for d in self.devices], self.ranges)
 
-    def ap_macs(self, override: str | None = None) -> list[str]:
-        if override is not None:
-            return [override] * len(self.aps)
-        return [a.mac or self.mac for a in self.aps]
-
     def device_macs(self, topology: Topology,
                     override: str | None = None) -> list[str]:
-        """Each device runs the MAC of its associated AP."""
-        ap_macs = self.ap_macs(override)
-        return [ap_macs[topology.associated_ap[d]]
-                for d in range(len(self.devices))]
+        """Each device runs the MAC of its associated AP, or ``override``."""
+        if override is not None:
+            return [override] * len(self.devices)
+        return [self.aps[ap].mac or self.mac for ap in topology.associated_ap]
 
     def packet_sampler(self):
         """Per-packet airtime in seconds derived from packet_bytes, or None.
@@ -384,7 +379,7 @@ def _validate(config: ScenarioConfig, violations: list[str]) -> None:
     # A zero-length run divides by zero; a zero beacon period never ends.
     if seconds_to_ns(config.duration_s) < 1:
         violations.append("duration_s must be at least 1 ns")
-    if not (0 <= config.seed < 2**64):
+    if config.seed not in SEEDS:
         violations.append("seed must fit in 64 bits")
     if seconds_to_ns(config.beacon_period_s) < 1:
         violations.append("beacon_period_s must be at least 1 ns")
@@ -438,19 +433,12 @@ def _validate(config: ScenarioConfig, violations: list[str]) -> None:
         except InfeasibleLifetime as exc:
             violations.append(f"device {d.id}: {exc}")
 
-    if config.mode == "renewal":
-        macs = config.ap_macs()
-        if any(m != "lifeadd" for m in macs):
-            violations.append("renewal mode requires every AP on lifeadd")
-
     if config.aps and config.devices:
         try:
             topo = config.build_topology()
         except UnassociatedDevice as exc:
             violations.append(str(exc))
         else:
-            if (config.mode == "renewal"
-                    and not topo.single_collision_domain):
-                violations.append(
-                    "renewal mode requires all devices within sensing "
-                    "range of each other")
+            if config.mode == RENEWAL:
+                violations += renewal_violations(config.device_macs(topo),
+                                                 topo)

@@ -33,10 +33,6 @@ class SubUnitRegime(ValueError):
     """Efficiencies sum below 1; the water-filling split does not apply."""
 
 
-class SuperUnitRegime(ValueError):
-    """Efficiencies sum to 1 or more; the fixed-point solution does not apply."""
-
-
 class DegenerateBudget(ValueError):
     """A zero efficiency would force a zero rate and minus-infinite utility."""
 
@@ -85,7 +81,7 @@ def water_filling_level(efficiencies) -> float:
     b = _validated_budgets(efficiencies, allow_zero=True)
     if b.sum() < 1.0:
         raise SubUnitRegime(
-            f"sum of efficiencies {b.sum():.6g} < 1; use solve_subunit")
+            f"sum of efficiencies {b.sum():.6g} < 1; every budget binds")
     s = np.sort(b)
     n = s.size
     prefix = 0.0  # sum of breakpoints below the current segment
@@ -118,34 +114,23 @@ def optimal_total_rate(n_devices: int, params: ContentionParams) -> float:
     return (-1.0 + math.sqrt(disc)) / (2.0 * lt)
 
 
-def solve_subunit(efficiencies, params: ContentionParams) -> SleepRateAssignment:
-    """Exact assignment when the efficiencies sum below 1.
+def assign_rates(efficiencies, params: ContentionParams) -> SleepRateAssignment:
+    """Full assignment procedure: regime split, (c*, y*), per-device rates.
 
-    All radio-on constraints bind; the unique fixed point of
+    Sub-unit, all radio-on constraints bind: the unique fixed point of
     ``rate_n = b_n * (sum(rates) + 1/busy_time)`` is
-    ``rate_n = b_n / (busy_time * (1 - sum(b)))``.  In the unified form
-    the water level is 1 and the total-rate parameter is
-    ``1 / (busy_time * (1 - sum(b)))``.
+    ``rate_n = b_n / (busy_time * (1 - sum(b)))``, that is a water level
+    of 1 and a total-rate parameter of ``1 / (busy_time * (1 - sum(b)))``.
     """
     b = _validated_budgets(efficiencies)
     total = b.sum()
     if total >= 1.0:
-        raise SuperUnitRegime(
-            f"sum of efficiencies {total:.6g} >= 1; use the water-filling split")
-    y_star = 1.0 / (params.busy_time * (1.0 - total))
-    rates = RateVector(b * y_star)
-    return SleepRateAssignment(SUB_UNIT, 1.0, y_star, rates)
-
-
-def assign_rates(efficiencies, params: ContentionParams) -> SleepRateAssignment:
-    """Full assignment procedure: regime split, (c*, y*), per-device rates."""
-    b = _validated_budgets(efficiencies)
-    if b.sum() >= 1.0:
         c_star = water_filling_level(b)
         y_star = optimal_total_rate(b.size, params)
         rates = RateVector(np.minimum(b, c_star) * y_star)
         return SleepRateAssignment(SUPER_UNIT, c_star, y_star, rates)
-    return solve_subunit(b, params)
+    y_star = 1.0 / (params.busy_time * (1.0 - total))
+    return SleepRateAssignment(SUB_UNIT, 1.0, y_star, RateVector(b * y_star))
 
 
 def relaxed_utility_at_total(total_rate: float, efficiencies,

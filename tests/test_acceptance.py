@@ -13,13 +13,12 @@ import pytest
 
 from lifeadd.cli import main as cli_main
 from lifeadd.formulas import ContentionParams
-from lifeadd.mac import (run_baseline_dcf, run_config, run_lifeadd,
-                         select_rates)
+from lifeadd.mac import DCF, LIFEADD, REALISTIC, run_config, select_rates
 from lifeadd.renewal import simulate_cycles, validate_against_formulas
 from lifeadd.scenario import parse_scenario
 from lifeadd.solver import (assign_rates, brute_force_oracle,
                             log_throughput_utility, optimality_bounds,
-                            solve_subunit, water_filling_level)
+                            water_filling_level)
 
 RHO_PARAMS = ContentionParams(sensing_time=4e-6, packet_time=0.9e-3,
                               ack_time=1e-4)  # sensing ratio 0.004
@@ -57,7 +56,7 @@ def test_acceptance_2_subunit_fixed_point():
         b = rng.uniform(0.01, 0.9, size=n)
         if b.sum() >= 1.0:
             b /= b.sum() * float(rng.uniform(1.05, 3.0))
-        rates = solve_subunit(b, RHO_PARAMS).rates.rates
+        rates = assign_rates(b, RHO_PARAMS).rates.rates
         target = b * (rates.sum() + 1.0 / RHO_PARAMS.busy_time)
         worst = max(worst, float(np.max(np.abs(rates - target) / rates)))
     ok = worst <= 1e-10
@@ -133,7 +132,8 @@ def test_acceptance_6_lifetime_adjustability():
                 for d in base.devices
             ]
             config = dataclasses.replace(base, devices=devices)
-            rep = run_lifeadd(config, seed=seed, mode="realistic")
+            rep = run_config(config, seed=seed, mode=REALISTIC,
+                             mac_override=LIFEADD)
             lifetime = min(d.lifetime_s for d in rep.devices)
             meets = lifetime >= 0.98 * target
             nondecreasing = lifetime >= previous - 1e-9
@@ -163,8 +163,10 @@ def comparison_runs():
     runs = {}
     for seed in COMPARISON_SEEDS:
         runs[seed] = {
-            "lifeadd": run_lifeadd(multi, seed=seed, mode="realistic"),
-            "dcf": run_baseline_dcf(multi, seed=seed),
+            "lifeadd": run_config(multi, seed=seed, mode=REALISTIC,
+                                  mac_override=LIFEADD),
+            "dcf": run_config(multi, seed=seed, mode=REALISTIC,
+                              mac_override=DCF),
             "mixed": run_config(coex, seed=seed),
         }
     return multi, coex, runs
@@ -187,11 +189,9 @@ def test_acceptance_7_baseline_comparison(comparison_runs):
 def test_acceptance_8_coexistence(comparison_runs):
     _, coex, runs = comparison_runs
     topology = coex.build_topology()
-    ap_macs = coex.ap_macs()
-    upgraded = [d for d in range(len(coex.devices))
-                if ap_macs[topology.associated_ap[d]] == "lifeadd"]
-    legacy = [d for d in range(len(coex.devices))
-              if ap_macs[topology.associated_ap[d]] == "dcf"]
+    macs = coex.device_macs(topology)
+    upgraded = [d for d, mac in enumerate(macs) if mac == LIFEADD]
+    legacy = [d for d, mac in enumerate(macs) if mac == DCF]
     assert upgraded and legacy
 
     def group_mean_lifetime(report, group):

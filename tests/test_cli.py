@@ -207,9 +207,9 @@ def test_validate_rejects_zero_cycles(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("--n", "3", "--oracle", "--grid", "10"), "grid_resolution must be"),
+    (("--n", "2", "--budgets", "0.5,0.5,0.5"), "--budgets needs 1 or 2"),
     (("--n", "5", "--oracle"), "50**5 exceeds the oracle's cap"),
-    (("--n", "3", "--oracle", "--grid", "100000"), "100000**3 exceeds"),
+    (("--n", "2", "--busy-time", "-1"), "sensing_time must be >= 0"),
     (("--n", "0"), "--n must be >= 1"),
     (("--n", "2", "--budgets", "0"), "zero energy budget"),
     (("--n", "2", "--budgets", "-1"), "must be finite and >= 0"),
@@ -224,3 +224,40 @@ def test_gap_sweep_rejects_bad_input(capsys, argv, message):
     error = json.loads(err)["error"]
     assert error["type"] == "invalid_input"
     assert message in error["message"]
+
+
+@pytest.mark.parametrize("argv, bad_seed", [
+    (("simulate", "--scenario", NEAR_FAR, "--seed", "-1"), -1),
+    (("simulate", "--scenario", NEAR_FAR, "--seed", str(2**64)), 2**64),
+    (("simulate", "--scenario", NEAR_FAR, "--seed", str(2**64 - 1),
+      "--replications", "2"), 2**64),
+    (("validate", "--scenario", VALIDATION, "--seed", "-1"), -1),
+    (("compare", "--scenario", NEAR_FAR, "--seeds", "17,-1"), -1),
+], ids=["simulate-negative", "simulate-2**64", "simulate-replications",
+        "validate-negative", "compare-negative"])
+def test_out_of_range_seed_fails_before_running(tmp_path, capsys, argv,
+                                                bad_seed):
+    if argv[0] == "simulate":
+        argv += ("--trace", str(tmp_path / "tr"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "invalid_input"
+    assert f"seed {bad_seed} is outside [0, 2**64)" in error["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--scenario", VALIDATION, "--mac", "dcf"), "every AP on lifeadd"),
+    (("--scenario", "scenarios/multi_ap_4x30.json", "--mode", "renewal"),
+     "all devices within sensing range"),
+])
+def test_simulate_override_breaking_renewal_rule_fails_before_running(
+        tmp_path, capsys, argv, message):
+    code, out, err = run_cli(capsys, "simulate", *argv,
+                             "--trace", str(tmp_path / "tr"))
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "invalid_input"
+    assert message in error["message"]
+    assert list(tmp_path.iterdir()) == []

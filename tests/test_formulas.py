@@ -9,7 +9,7 @@ from lifeadd.formulas import (ContentionParams, RateVector,
                               radio_on_fraction, success_probability,
                               success_time_fraction, throughput)
 from lifeadd.renewal import simulate_cycles
-from lifeadd.solver import assign_rates, solve_subunit
+from lifeadd.solver import assign_rates
 
 PARAMS = ContentionParams(sensing_time=4e-6, packet_time=0.9e-3,
                           ack_time=1e-4)
@@ -19,7 +19,7 @@ ZERO_TS = ContentionParams(sensing_time=0.0, packet_time=0.9e-3,
 
 def test_single_contender_always_wins():
     for rate in (1.0, 500.0, 2e4):
-        assert success_probability([rate], PARAMS, 0) == pytest.approx(1.0)
+        assert success_probability([rate], PARAMS)[0] == pytest.approx(1.0)
 
 
 def test_zero_sensing_window_reduces_to_rate_share():
@@ -65,7 +65,7 @@ def test_attempt_probability_hand_value_and_oracle():
         params = ContentionParams(1e-4, 0.9e-3, 1e-4)
     rates = np.array([1000.0, 3000.0])
     expected = 1 - math.exp(-0.1) + math.exp(-0.1) * 0.25
-    assert attempt_probability(rates, params, 0) == pytest.approx(expected)
+    assert attempt_probability(rates, params)[0] == pytest.approx(expected)
     rng = np.random.default_rng(12)
     draws = rng.standard_exponential((400_000, 2)) / rates
     transmits = draws[:, 1] >= draws[:, 0] - params.sensing_time
@@ -75,7 +75,7 @@ def test_attempt_probability_hand_value_and_oracle():
 
 
 def test_attempt_probability_boundaries():
-    assert attempt_probability([777.0], PARAMS, 0) == pytest.approx(1.0)
+    assert attempt_probability([777.0], PARAMS)[0] == pytest.approx(1.0)
     rates = np.array([600.0, 1400.0])
     assert attempt_probability(rates, ZERO_TS) == pytest.approx(
         rates / rates.sum())
@@ -83,7 +83,7 @@ def test_attempt_probability_boundaries():
 
 def test_success_time_fraction_hand_value():
     params = ContentionParams(0.0, 0.9e-3, 1e-4)
-    p = success_time_fraction([500.0, 500.0], params, 0)
+    p = success_time_fraction([500.0, 500.0], params)[0]
     assert p == pytest.approx(0.225)
 
 
@@ -113,11 +113,11 @@ def test_high_rate_zero_window_limit():
 def test_throughput_is_scaled_fraction():
     rates = [500.0, 500.0]
     params = ContentionParams(0.0, 0.9e-3, 1e-4)
-    assert throughput(rates, params, 0, alpha=11e6) == pytest.approx(
+    assert throughput(rates, params, alpha=11e6)[0] == pytest.approx(
         0.225 * 11e6)
-    assert throughput(rates, params, 0, alpha=1.0) == pytest.approx(
-        success_time_fraction(rates, params, 0))
-    assert throughput([100.0], params, 0, alpha=0.0) == 0.0
+    assert throughput(rates, params, alpha=1.0)[0] == pytest.approx(
+        success_time_fraction(rates, params)[0])
+    assert throughput([100.0], params, alpha=0.0)[0] == 0.0
 
 
 def test_radio_on_fraction_zero_window():
@@ -165,8 +165,8 @@ def test_win_probability_increasing_below_contention_knee():
         hi, lo = rates.copy(), rates.copy()
         hi[idx] += h
         lo[idx] -= h
-        diff = (success_probability(hi, PARAMS, idx)
-                - success_probability(lo, PARAMS, idx)) / (2 * h)
+        diff = (success_probability(hi, PARAMS)[idx]
+                - success_probability(lo, PARAMS)[idx]) / (2 * h)
         assert diff > 0
 
 
@@ -192,7 +192,7 @@ def test_subunit_rates_meet_budgets_in_the_small_window_limit():
     previous = None
     for ts in (4e-6, 1e-6, 1e-7, 1e-8):
         params = ContentionParams(ts, 0.9e-3, 1e-4)
-        rates = solve_subunit(budgets, params).rates.rates
+        rates = assign_rates(budgets, params).rates.rates
         slack = energy_slack(rates, params, budgets)
         assert np.all(slack <= 1e-12)
         worst = float(np.min(slack))

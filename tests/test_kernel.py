@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from lifeadd.kernel import (CausalityViolation, Event, EventKind, EventQueue,
-                            RandomStream, sample_exponential, seconds_to_ns)
+                            RandomStream, seconds_to_ns)
 
 
 def test_ties_dequeue_in_scheduling_order():
@@ -99,13 +99,13 @@ def test_exponential_unit_uniform_edge_is_zero():
         def uniform(self):
             return 1.0
 
-    assert sample_exponential(OneStream(), 500.0) == 0.0
+    assert RandomStream.exponential(OneStream(), 500.0) == 0.0
 
 
 def test_exponential_rejects_bad_rate():
     stream = RandomStream(1, 0)
     with pytest.raises(ValueError):
-        sample_exponential(stream, 0.0)
+        stream.exponential(0.0)
 
 
 def test_memorylessness_ks():

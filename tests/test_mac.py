@@ -9,8 +9,8 @@ import pytest
 from lifeadd.energy import EnergyProfile
 from lifeadd.formulas import ContentionParams, success_time_fraction
 from lifeadd.kernel import EventKind, EventQueue
-from lifeadd.mac import (Simulation, run_baseline_dcf, run_config,
-                         run_lifeadd, select_rates)
+from lifeadd.mac import (DCF, LIFEADD, REALISTIC, Simulation, run_config,
+                         select_rates)
 from lifeadd.report import emit_report
 from lifeadd.scenario import parse_scenario
 from lifeadd.solver import assign_rates, optimal_total_rate
@@ -140,7 +140,7 @@ def test_renewal_single_device_fraction_within_one_percent():
     row = rep.devices[0]
     assert row.tx_collision == 0
     measured = row.tx_success * PARAMS.packet_time / duration
-    predicted = success_time_fraction([rate], PARAMS, 0)
+    predicted = success_time_fraction([rate], PARAMS)[0]
     assert measured == pytest.approx(predicted, rel=0.01)
 
 
@@ -166,7 +166,7 @@ def test_renewal_mode_requires_mutual_sensing():
     topo = build_topology([[0.0, 0.0]], [[0.0, 0.0], [100.0, 0.0]],
                           Ranges(sensing=50.0, interference=200.0,
                                  communication=200.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="within sensing range"):
         Simulation(topo, [big_profile()] * 2, [2.0, 2.0], [1.0, 1.0],
                    ["lifeadd"] * 2, PARAMS, 1.0, 1, mode="renewal")
 
@@ -177,11 +177,13 @@ def test_renewal_mode_requires_mutual_sensing():
 def test_identical_runs_are_byte_identical():
     cfg = parse_scenario("scenarios/near_far_pair.json")
     trace_a, trace_b = io.StringIO(), io.StringIO()
-    a = emit_report(run_lifeadd(cfg, seed=17, trace=trace_a), "json")
-    b = emit_report(run_lifeadd(cfg, seed=17, trace=trace_b), "json")
+    a = emit_report(run_config(cfg, seed=17, mac_override=LIFEADD,
+                               trace=trace_a), "json")
+    b = emit_report(run_config(cfg, seed=17, mac_override=LIFEADD,
+                               trace=trace_b), "json")
     assert a == b
     assert trace_a.getvalue() == trace_b.getvalue()
-    c = emit_report(run_lifeadd(cfg, seed=18), "json")
+    c = emit_report(run_config(cfg, seed=18, mac_override=LIFEADD), "json")
     assert a != c
 
 
@@ -223,7 +225,7 @@ def test_radio_on_fraction_respects_budget_envelope():
 def test_congestion_factor_trace_replay():
     cfg = parse_scenario("scenarios/near_far_pair.json")
     trace = io.StringIO()
-    run_lifeadd(cfg, seed=17, trace=trace)
+    run_config(cfg, seed=17, mac_override=LIFEADD, trace=trace)
     factors = {}
     timeouts = 0
     for line in trace.getvalue().splitlines():
@@ -244,7 +246,7 @@ def test_congestion_factor_trace_replay():
 
 def test_effective_rate_damped_by_collisions():
     cfg = parse_scenario("scenarios/near_far_pair.json")
-    rep = run_lifeadd(cfg, seed=17)
+    rep = run_config(cfg, seed=17, mac_override=LIFEADD)
     victim = rep.devices[1]
     assert victim.tx_collision > 0
     assert victim.mean_effective_rate_hz < victim.assigned_rate_hz
@@ -365,8 +367,8 @@ def test_dcf_interrupted_station_re_decides_at_its_old_end_time():
 def test_near_far_fairness_ordering():
     cfg = parse_scenario("scenarios/near_far_pair.json")
     for seed in (17, 18):
-        life = run_lifeadd(cfg, seed=seed)
-        base = run_baseline_dcf(cfg, seed=seed)
+        life = run_config(cfg, seed=seed, mac_override=LIFEADD)
+        base = run_config(cfg, seed=seed, mode=REALISTIC, mac_override=DCF)
         lt = [d.throughput_bps for d in life.devices]
         bt = [d.throughput_bps for d in base.devices]
         assert min(lt) > 0
@@ -399,8 +401,8 @@ def test_packet_length_distribution_runs_deterministically():
     dist = sc.PacketDistribution(choices=(400.0, 1500.0), weights=(0.5, 0.5))
     cfg = dataclasses.replace(cfg, traffic=sc.TrafficConfig(True, dist),
                               duration_s=5.0)
-    a = emit_report(run_lifeadd(cfg, seed=3), "json")
-    b = emit_report(run_lifeadd(cfg, seed=3), "json")
+    a = emit_report(run_config(cfg, seed=3, mac_override=LIFEADD), "json")
+    b = emit_report(run_config(cfg, seed=3, mac_override=LIFEADD), "json")
     assert a == b
 
 

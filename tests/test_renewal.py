@@ -29,7 +29,7 @@ def test_single_device_every_cycle_succeeds():
     est = simulate_cycles([rate], PARAMS, 100_000, seed=1)
     assert est.collision_fraction == 0.0
     assert est.win[0] == 1.0
-    predicted = success_time_fraction([rate], PARAMS, 0)
+    predicted = success_time_fraction([rate], PARAMS)[0]
     assert est.success_fraction[0] == pytest.approx(predicted, rel=0.01)
 
 

@@ -130,6 +130,15 @@ def test_renewal_requires_lifeadd_everywhere(tmp_path):
         parse_scenario(write(tmp_path, payload))
 
 
+def test_renewal_ignores_dcf_ap_that_serves_no_device(tmp_path):
+    payload = json.loads(json.dumps(BASE))
+    payload["mode"] = "renewal"
+    payload["aps"].append({"id": "idle", "position": [2000.0, 2000.0],
+                           "mac": "dcf"})
+    config = parse_scenario(write(tmp_path, payload))
+    assert config.device_macs(config.build_topology()) == ["lifeadd"]
+
+
 def test_packet_distribution_validation(tmp_path):
     payload = json.loads(json.dumps(BASE))
     payload["traffic"]["packet_bytes"] = {"choices": [100.0, 1500.0],

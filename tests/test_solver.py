@@ -10,10 +10,9 @@ from scipy.optimize import minimize_scalar
 from lifeadd import solver
 from lifeadd.formulas import ContentionParams, log_throughput_utility
 from lifeadd.solver import (SUB_UNIT, SUPER_UNIT, DegenerateBudget,
-                            NoFeasiblePoint, SubUnitRegime, SuperUnitRegime,
-                            assign_rates, brute_force_oracle,
-                            optimal_total_rate, optimality_bounds,
-                            relaxed_utility_at_total, solve_subunit,
+                            NoFeasiblePoint, SubUnitRegime, assign_rates,
+                            brute_force_oracle, optimal_total_rate,
+                            optimality_bounds, relaxed_utility_at_total,
                             water_filling_level)
 
 PARAMS = ContentionParams(sensing_time=4e-6, packet_time=0.9e-3,
@@ -89,11 +88,11 @@ def test_total_rate_huge_sensing_window_vanishes():
 
 
 def test_subunit_hand_values():
-    a = solve_subunit([0.2, 0.3, 0.4], PARAMS)
+    a = assign_rates([0.2, 0.3, 0.4], PARAMS)
     assert a.case == SUB_UNIT and a.c_star == 1.0
     assert a.y_star == pytest.approx(10000.0)
     assert a.rates.rates == pytest.approx([2000.0, 3000.0, 4000.0])
-    single = solve_subunit([0.5], PARAMS)
+    single = assign_rates([0.5], PARAMS)
     assert single.rates.rates == pytest.approx([1000.0])
 
 
@@ -104,22 +103,20 @@ def test_subunit_fixed_point_residual():
         b = rng.uniform(0.01, 0.9, size=n)
         if b.sum() >= 1.0:
             b = b / (b.sum() * rng.uniform(1.05, 3.0))
-        rates = solve_subunit(b, PARAMS).rates.rates
+        rates = assign_rates(b, PARAMS).rates.rates
         target = b * (rates.sum() + 1.0 / PARAMS.busy_time)
         assert np.max(np.abs(rates - target) / rates) <= 1e-10
 
 
 def test_subunit_blows_up_near_regime_boundary():
-    lo = solve_subunit([0.3, 0.3, 0.3], PARAMS).rates.total
-    hi = solve_subunit([0.333, 0.333, 0.333], PARAMS).rates.total
+    lo = assign_rates([0.3, 0.3, 0.3], PARAMS).rates.total
+    hi = assign_rates([0.333, 0.333, 0.333], PARAMS).rates.total
     assert hi > 30 * lo
 
 
 def test_subunit_rejections():
-    with pytest.raises(SuperUnitRegime):
-        solve_subunit([0.5, 0.6], PARAMS)
     with pytest.raises(DegenerateBudget):
-        solve_subunit([0.0, 0.3], PARAMS)
+        assign_rates([0.0, 0.3], PARAMS)
 
 
 def test_assignment_equal_split_without_constraints():
