@@ -71,7 +71,7 @@ class EnergyProfile:
             raise ValueError(
                 f"initial_energy {self.initial_energy} exceeds battery_capacity "
                 f"{self.battery_capacity}")
-        if self.target_lifetime is not None and self.target_lifetime <= 0:
+        if self.target_lifetime is not None and not self.target_lifetime > 0:
             raise ValueError("target_lifetime must be > 0 when given")
 
 
@@ -90,7 +90,7 @@ class DeviceBudget:
     max_lifetime: float
 
     def __post_init__(self) -> None:
-        if self.allowed_radio_power < 0:
+        if not self.allowed_radio_power >= 0:
             raise ValueError("allowed_radio_power must be >= 0")
 
 

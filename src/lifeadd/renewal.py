@@ -9,20 +9,26 @@ using the closed forms, so it serves as an independent check of them.
 Probabilities get binomial confidence bands; the time fractions are
 renewal-reward ratios and get delta-method bands.
 
-Cycles run in chunks of ``_CHUNK`` rows.  Rewards are summed over the
-transmitting cells only, about one per cycle, instead of over dense
-(cycles, devices) arrays that are almost all 0.0, and the sums are the
-same bits: numpy reduces axis 0 of a C-ordered array with two or more
-columns row by row, which is the order ``np.bincount`` adds its weights
-in, and the skipped ``+ 0.0`` terms change nothing.  A lone column is
-summed pairwise, so for one device the column is rebuilt and summed as
-before.  The chunk size fixes the pairwise grouping of the cycle-length
-sums, so changing ``_CHUNK`` moves the ``mean_cycle`` bits.
+Cycles run in chunks of ``_CHUNK`` rows, each drawn in row blocks of
+``_BLOCK`` rows; a block's draw, row minimum, transmit cells, counts and
+rewards are done before the next is drawn, so only the chunk's (m,)
+cycle lengths outlive a block.  The block size moves no bits: split
+``standard_exponential`` draws concatenate to the single draw, and a row
+minimum is exact in any order.  The chunk size fixes the pairwise
+grouping of the cycle-length sums, so changing ``_CHUNK`` moves the
+``mean_cycle`` bits.
 
-Each chunk is drawn in row blocks of ``_BLOCK`` rows, and only the
-per-cycle first wake and the transmit indices outlive a block.  The
-block size moves no bits: split ``standard_exponential`` draws
-concatenate to the single draw, and a row minimum is exact in any order.
+Rewards are summed over the transmitting cells only, about one per cycle,
+with ``np.bincount``, and give the same bits as ``.sum(axis=0)`` of the
+dense (cycles, devices) arrays: numpy reduces axis 0 of a C-ordered array
+with two or more columns row by row, which is the order ``np.bincount``
+adds its weights in, and the skipped ``+ 0.0`` terms change nothing.
+Each block's ``np.bincount`` takes the chunk's running per-device sums as
+its first ``n`` weights, so every bin adds the same terms in the same
+order as one call over the chunk (plain per-block sums added together
+would not).  A lone column is summed pairwise, so for one device each
+reward column is rebuilt over the whole chunk, from whether the device
+sent in each cycle, and summed as before.
 """
 
 from __future__ import annotations
@@ -57,48 +63,6 @@ class RenewalEstimates:
     mean_cycle: float
 
 
-def _reward_sums(rows, cols, value, cycle, n: int) -> np.ndarray:
-    """Column sums of ``R``, ``R * R`` and ``R * cycle[:, None]`` for the
-    (m, n) reward array ``R`` that is ``value`` at the cells ``(rows, cols)``,
-    given in row-major order, and 0.0 elsewhere; bit for bit what
-    ``.sum(axis=0)`` of the dense arrays gives."""
-    w = np.full(rows.size, value)
-    terms = (w, w * w, w * cycle[rows])
-    if n > 1:  # numpy adds the rows in order, as bincount does
-        return np.array([np.bincount(cols, weights=t, minlength=n)
-                         for t in terms])
-    dense = np.zeros((cycle.size, 1))  # a lone column is summed pairwise
-    sums = []
-    for t in terms:
-        dense[rows, 0] = t
-        sums.append(dense.sum(axis=0))
-    return np.array(sums)
-
-
-def _first_wakes(rng, r: np.ndarray, ts: float, m: int):
-    """Draw ``m`` cycles of residual sleep times, ``_BLOCK`` rows at a time.
-
-    Returns the per-cycle first wake time and the row-major (rows, cols)
-    of the devices that wake within ``ts`` of it, which transmit.  The row
-    minimum is taken column by column, which is faster than ``min(axis=1)``
-    on short rows.
-    """
-    first = np.empty(m)
-    rows, cols = [], []
-    for start in range(0, m, _BLOCK):
-        residual = rng.standard_exponential((min(_BLOCK, m - start), r.size))
-        residual /= r
-        block_first = first[start:start + residual.shape[0]]
-        block_first[:] = residual[:, 0]
-        for j in range(1, r.size):
-            np.minimum(block_first, residual[:, j], out=block_first)
-        block_rows, block_cols = np.nonzero(
-            residual < (block_first + ts)[:, None])
-        rows.append(block_rows + start)
-        cols.append(block_cols)
-    return first, np.concatenate(rows), np.concatenate(cols)
-
-
 def simulate_cycles(rates, params: ContentionParams, n_cycles: int,
                     seed: int) -> RenewalEstimates:
     """Run ``n_cycles`` renewal cycles and measure the four metrics."""
@@ -119,29 +83,59 @@ def simulate_cycles(rates, params: ContentionParams, n_cycles: int,
     collision_cycles = 0
     # Ratio-estimator accumulators: per-device reward sums, their squares
     # and cross terms against the cycle length, for the successful airtime
-    # and the radio-on time.
+    # (rows 0-2) and the radio-on time (rows 3-5).
     sum_c = 0.0
     sum_c2 = 0.0
-    p_sums = np.zeros((3, n))
-    on_sums = np.zeros((3, n))
+    reward_sums = np.zeros((6, n))
+    lanes = np.arange(n)
 
     remaining = n_cycles
     while remaining > 0:
         m = min(remaining, _CHUNK)
         remaining -= m
-        first, rows, cols = _first_wakes(rng, r, ts, m)
-        success = np.bincount(rows, minlength=m) == 1
-        won = success[rows]
+        cycle = np.empty(m)
+        sent = np.empty(m, dtype=bool)  # n = 1: the cycles it transmits in
+        chunk_sums = np.zeros((6, n))  # n >= 2: the running per-bin sums
+        for start in range(0, m, _BLOCK):
+            residual = rng.standard_exponential((min(_BLOCK, m - start), n))
+            residual /= r
+            first = cycle[start:start + residual.shape[0]]
+            first[:] = residual[:, 0]
+            for j in range(1, n):
+                np.minimum(first, residual[:, j], out=first)
+            # first + ts rounds to first when ts is below half an ulp of
+            # it, and the first waker must still transmit
+            window = np.maximum(first + ts, np.nextafter(first, np.inf))
+            rows, cols = np.nonzero(residual < window[:, None])
+            del residual  # free the draw before the next block's
+            success = np.bincount(rows, minlength=first.size) == 1
+            won = success[rows]
+            attempt_count += np.bincount(cols, minlength=n)
+            win_count += np.bincount(cols[won], minlength=n)
+            collision_cycles += first.size - int(np.count_nonzero(success))
+            if n == 1:  # a lone transmitter always succeeds
+                sent[start:start + first.size] = success
+                continue
 
-        attempt_count += np.bincount(cols, minlength=n)
-        win_count += np.bincount(cols[won], minlength=n)
-        collision_cycles += m - int(np.count_nonzero(success))
+            c = first[rows] + busy
+            for k, keep, value in ((0, won, packet), (3, slice(None), busy)):
+                at = cols[keep]
+                terms = (np.full(at.size, value),
+                         np.full(at.size, value * value), value * c[keep])
+                at = np.concatenate((lanes, at))  # running sums go in first
+                for s, t in zip(chunk_sums[k:k + 3], terms):
+                    s[:] = np.bincount(at, weights=np.concatenate((s, t)),
+                                       minlength=n)
 
-        cycle = first + busy
+        cycle += busy
+        if n == 1:  # a lone column is summed pairwise, so over the chunk
+            chunk_sums[:, 0] = [np.where(sent, t, 0.0).sum()
+                                for v in (packet, busy)
+                                for t in (v, v * v, v * cycle)]
+        reward_sums += chunk_sums
         sum_c += cycle.sum()
-        sum_c2 += (cycle * cycle).sum()
-        p_sums += _reward_sums(rows[won], cols[won], packet, cycle, n)
-        on_sums += _reward_sums(rows, cols, busy, cycle, n)
+        cycle *= cycle
+        sum_c2 += cycle.sum()
 
     m = float(n_cycles)
     win = win_count / m
@@ -162,8 +156,8 @@ def simulate_cycles(rates, params: ContentionParams, n_cycles: int,
         sigma = np.sqrt(resid_var / m) / mean_c
         return ratio, sigma
 
-    p_hat, p_sigma = ratio_estimate(*p_sums)
-    on_hat, on_sigma = ratio_estimate(*on_sums)
+    p_hat, p_sigma = ratio_estimate(*reward_sums[:3])
+    on_hat, on_sigma = ratio_estimate(*reward_sums[3:])
 
     return RenewalEstimates(
         n_cycles=n_cycles,

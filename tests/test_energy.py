@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from lifeadd.energy import (EnergyProfile, InfeasibleLifetime, battery_level,
-                            energy_budget, joules_from_mah,
+from lifeadd.energy import (DeviceBudget, EnergyProfile, InfeasibleLifetime,
+                            battery_level, energy_budget, joules_from_mah,
                             max_feasible_lifetime)
 
 
@@ -129,5 +129,16 @@ def test_profile_validation():
         profile(radio_on_power=0.0)
     with pytest.raises(ValueError):
         profile(target_lifetime=-1.0)
+    # NaN fails every comparison: a `<= 0` check let it through, and
+    # energy_budget returned efficiency nan
+    with pytest.raises(ValueError, match="target_lifetime must be > 0"):
+        profile(target_lifetime=math.nan)
     with pytest.raises(ValueError):
         profile(base_power=-0.1)
+
+
+@pytest.mark.parametrize("power", [math.nan, -1.0])
+def test_device_budget_rejects_nan_or_negative_power(power):
+    with pytest.raises(ValueError, match="allowed_radio_power must be >= 0"):
+        DeviceBudget(allowed_radio_power=power, efficiency=0.5,
+                     max_lifetime=10.0)

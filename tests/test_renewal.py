@@ -96,7 +96,8 @@ def dense_reference(rates, params, n_cycles, seed, chunk):
         remaining -= m
         residual = rng.standard_exponential((m, n)) / r[None, :]
         first = residual.min(axis=1)
-        transmits = residual < (first + ts)[:, None]
+        window = np.maximum(first + ts, np.nextafter(first, np.inf))
+        transmits = residual < window[:, None]
         success = transmits.sum(axis=1) == 1
         wins = transmits & success[:, None]
         attempt_count += transmits.sum(axis=0)
@@ -147,10 +148,13 @@ def assert_same_bits(got: RenewalEstimates, want: RenewalEstimates):
 @pytest.mark.parametrize("n", [1, 2, 3, 30])
 def test_sparse_sums_equal_dense_reference_bit_for_bit(monkeypatch, n):
     # 2,001 cycles in chunks of 1,000: the last chunk has a single row.
-    # Blocks of 333 rows end each full chunk in a block of one row.
+    # Blocks of 333 rows end each full chunk in a block of one row; blocks
+    # of 7 and of 1 row hand every running sum on many times per chunk,
+    # and blocks of 7 end each full chunk inside a block.
     monkeypatch.setattr(renewal, "_CHUNK", 1000)
     rates = np.linspace(2000.0, 9000.0, n) / n
-    for block, seed in ((renewal._BLOCK, 3), (renewal._BLOCK, 4), (333, 6)):
+    for block, seed in ((renewal._BLOCK, 3), (renewal._BLOCK, 4), (333, 6),
+                        (7, 7), (1, 8)):
         monkeypatch.setattr(renewal, "_BLOCK", block)
         assert_same_bits(simulate_cycles(rates, PARAMS, 2001, seed),
                          dense_reference(rates, PARAMS, 2001, seed, 1000))
@@ -164,14 +168,37 @@ def test_sparse_sums_equal_dense_reference_at_default_chunk():
         dense_reference(rates, PARAMS, n_cycles, 11, renewal._CHUNK))
 
 
-def test_peak_memory_at_thirty_devices():
-    # The dense sums peaked near 200 MB here, one (m, n) draw 57 MB; row
-    # blocks of the draw keep it near 14 MB.
-    rates = np.linspace(500.0, 2000.0, 30)
+@pytest.mark.parametrize("n", [1, 3])
+def test_first_waker_transmits_below_an_ulp_of_its_wake(n):
+    # At 1e-12 Hz most first wakes lie past 7e10 s, where half an ulp
+    # exceeds the 4 us sensing time, so first + ts rounds to first.  The
+    # first waker must still transmit: no cycle is without a transmitter.
+    rates = np.full(n, 1e-12)
+    est = simulate_cycles(rates, PARAMS, 5000, seed=3)
+    assert est.collision_fraction == 0.0
+    assert est.win.sum() == pytest.approx(1.0)
+    assert np.array_equal(est.win, est.attempt)
+    assert_same_bits(est, dense_reference(rates, PARAMS, 5000, 3,
+                                          renewal._CHUNK))
+
+
+def traced_peak(rates, n_cycles: int) -> int:
     tracemalloc.start()
     try:
-        simulate_cycles(rates, PARAMS, 200_000, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
+        simulate_cycles(rates, PARAMS, n_cycles, seed=1)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20e6
+
+
+def test_peak_memory_at_thirty_devices():
+    # The dense sums peaked near 200 MB here, one (m, n) draw 57 MB, the
+    # chunk-long transmit indices and reward weights 15 MB; with all of a
+    # block's work done in the block it is near 5.5 MB.
+    assert traced_peak(np.linspace(500.0, 2000.0, 30), 200_000) < 8e6
+
+
+def test_peak_memory_of_validate_at_three_devices():
+    # The 1e6-cycle validate: near 18 MB with chunk-long transmit indices
+    # and reward weights, near 4.6 MB with only the (m,) cycle lengths.
+    assert traced_peak(np.array([3774.3, 5661.4, 9435.7]), 1_000_000) < 8e6
