@@ -87,7 +87,6 @@ class DeviceBudget:
 
     allowed_radio_power: float
     efficiency: float
-    max_lifetime: float
 
     def __post_init__(self) -> None:
         if not self.allowed_radio_power >= 0:
@@ -119,7 +118,7 @@ def energy_budget(profile: EnergyProfile) -> DeviceBudget:
     t_max = max_feasible_lifetime(profile)
     if profile.target_lifetime is None:
         allowed = UNCONSTRAINED_EFFICIENCY * profile.radio_on_power
-        return DeviceBudget(allowed, UNCONSTRAINED_EFFICIENCY, t_max)
+        return DeviceBudget(allowed, UNCONSTRAINED_EFFICIENCY)
     if profile.target_lifetime > t_max:
         raise InfeasibleLifetime(
             f"target lifetime {profile.target_lifetime:.6g} s exceeds the "
@@ -127,7 +126,7 @@ def energy_budget(profile: EnergyProfile) -> DeviceBudget:
     allowed = (profile.initial_energy / profile.target_lifetime
                + profile.recharge_rate - profile.base_power)
     allowed = max(allowed, 0.0)  # guard rounding when target == t_max
-    return DeviceBudget(allowed, allowed / profile.radio_on_power, t_max)
+    return DeviceBudget(allowed, allowed / profile.radio_on_power)
 
 
 def battery_level(profile: EnergyProfile, elapsed_radio_on: float,

@@ -73,13 +73,6 @@ class RateVector:
             raise ValueError("rates must be finite and > 0")
         object.__setattr__(self, "rates", arr)
 
-    @property
-    def total(self) -> float:
-        return float(self.rates.sum())
-
-    def __len__(self) -> int:
-        return self.rates.size
-
 
 def _as_rates(rates) -> np.ndarray:
     if isinstance(rates, RateVector):

@@ -88,13 +88,16 @@ def simulate_cycles(rates, params: ContentionParams, n_cycles: int,
     sum_c2 = 0.0
     reward_sums = np.zeros((6, n))
     lanes = np.arange(n)
+    # One buffer pair for all chunks, so no chunk's outlives the next's.
+    cycles = np.empty(min(n_cycles, _CHUNK))
+    transmitted = np.empty(cycles.size, dtype=bool)
 
     remaining = n_cycles
     while remaining > 0:
         m = min(remaining, _CHUNK)
         remaining -= m
-        cycle = np.empty(m)
-        sent = np.empty(m, dtype=bool)  # n = 1: the cycles it transmits in
+        cycle = cycles[:m]
+        sent = transmitted[:m]  # n = 1: the cycles it transmits in
         chunk_sums = np.zeros((6, n))  # n >= 2: the running per-bin sums
         for start in range(0, m, _BLOCK):
             residual = rng.standard_exponential((min(_BLOCK, m - start), n))

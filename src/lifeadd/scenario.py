@@ -1,9 +1,9 @@
 """Scenario files: strict-schema parsing and validation.
 
 A scenario is a JSON document describing the topology, the per-device
-energy profiles, MAC selection, contention timing, traffic and run
-controls.  Parsing is strict: unknown keys and type mismatches raise
-ParseError with the offending field path; semantic violations are
+energy profiles, MAC selection, contention timing, packet sizes and run
+controls.  Parsing is strict: unknown or repeated keys and type mismatches
+raise ParseError with the offending field path; semantic violations are
 collected exhaustively into one ValidationError.
 
 Battery quantities accept joules directly or ``{"mah": x, "voltage": v}``
@@ -40,8 +40,10 @@ class ValidationError(ValueError):
         super().__init__("; ".join(violations))
 
 
-def _require(mapping: dict, path: str, known: dict[str, bool]) -> None:
-    """Reject unknown keys and report missing required ones."""
+def _require(mapping, path: str, known: dict[str, bool]) -> None:
+    """Reject a non-object, unknown keys and missing required ones."""
+    if not isinstance(mapping, dict):
+        raise ParseError(f"{path}: expected an object")
     unknown = set(mapping) - set(known)
     if unknown:
         raise ParseError(f"{path}: unknown key(s) {sorted(unknown)}")
@@ -75,6 +77,15 @@ def _reject_constant(token: str):
     raise ParseError(f"non-finite number {token} is not JSON")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = sorted({key for key in keys if keys.count(key) > 1})
+        raise ParseError(f"duplicate key(s) {repeated}")
+    return obj
+
+
 def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"{path}: expected an integer, got {value!r}")
@@ -84,6 +95,12 @@ def _integer(value, path: str) -> int:
 def _string(value, path: str) -> str:
     if not isinstance(value, str):
         raise ParseError(f"{path}: expected a string, got {value!r}")
+    return value
+
+
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{path}: expected a list")
     return value
 
 
@@ -112,7 +129,6 @@ def _joules(amount: float, voltage: float | None) -> float:
 class ApConfig:
     id: str
     position: tuple[float, float]
-    wall_powered: bool = True
     mac: str | None = None
 
 
@@ -132,24 +148,17 @@ class PacketDistribution:
     weights: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class TrafficConfig:
-    saturated: bool = True
-    packet_bytes: float | PacketDistribution | None = None
-
-
 @dataclass
 class ScenarioConfig:
-    field_size: float
     aps: list[ApConfig]
     devices: list[DeviceConfig]
     ranges: Ranges
     mac: str
     mode: str
     contention: ContentionParams
-    traffic: TrafficConfig
     duration_s: float
     seed: int
+    packet_bytes: float | PacketDistribution | None = None
     dcf: DcfParams = DcfParams()
     beacon_period_s: float = BEACON_PERIOD_S
     name: str = ""
@@ -186,7 +195,7 @@ class ScenarioConfig:
         Airtime is bytes * 8 / alpha of the transmitting device; a
         distribution draws from the device's own random stream.
         """
-        pb = self.traffic.packet_bytes
+        pb = self.packet_bytes
         if pb is None:
             return None
         if isinstance(pb, PacketDistribution):
@@ -205,29 +214,28 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
     """Load, strictly parse, and validate a scenario file."""
     text = Path(path).read_text()
     try:
-        raw = json.loads(text, parse_constant=_reject_constant)
+        raw = json.loads(text, parse_constant=_reject_constant,
+                         object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}") from None
-    if not isinstance(raw, dict):
-        raise ParseError(f"{path}: the top level must be an object")
     return _build_config(raw)
 
 
-def _build_config(raw: dict) -> ScenarioConfig:
+def _build_config(raw) -> ScenarioConfig:
     _require(raw, "scenario", {
-        "field_size": True, "aps": True, "devices": True, "ranges": True,
-        "mac": True, "mode": True, "contention": True, "traffic": True,
+        "aps": True, "devices": True, "ranges": True, "mac": True,
+        "mode": True, "contention": True, "traffic": False,
         "duration_s": True, "seed": True, "dcf": False,
         "beacon_period_s": False, "name": False, "description": False,
     })
     violations: list[str] = []
 
     aps = [_parse_ap(a, f"aps[{i}]") for i, a in
-           enumerate(_list_of_dicts(raw["aps"], "aps"))]
+           enumerate(_list(raw["aps"], "aps"))]
     devices = [_parse_device(d, f"devices[{i}]", violations) for i, d in
-               enumerate(_list_of_dicts(raw["devices"], "devices"))]
+               enumerate(_list(raw["devices"], "devices"))]
 
     ranges_raw = raw["ranges"]
     _require(ranges_raw, "ranges", {"sensing": True, "interference": True,
@@ -258,22 +266,19 @@ def _build_config(raw: dict) -> ScenarioConfig:
         violations.append(f"contention: {exc}")
         contention = ContentionParams(4e-6, 9e-4, 1e-4)
 
-    traffic = _parse_traffic(raw["traffic"], violations)
+    packet_bytes = _parse_traffic(raw.get("traffic", {}), violations)
 
     mac = _string(raw["mac"], "mac")
     mode = _string(raw["mode"], "mode")
     dcf = raw.get("dcf", {})
-    if not isinstance(dcf, dict):
-        raise ParseError("dcf: expected an object")
     _require(dcf, "dcf", {"slot_s": False, "difs_s": False,
                           "cw_min": False, "cw_max": False})
 
     config = ScenarioConfig(
-        field_size=_number(raw["field_size"], "field_size"),
         aps=aps, devices=devices, ranges=ranges, mac=mac, mode=mode,
-        contention=contention, traffic=traffic,
+        contention=contention,
         duration_s=_seconds(raw["duration_s"], "duration_s"),
-        seed=_integer(raw["seed"], "seed"),
+        seed=_integer(raw["seed"], "seed"), packet_bytes=packet_bytes,
         dcf=DcfParams(**{k: _seconds(v, f"dcf.{k}") if k.endswith("_s")
                          else _integer(v, f"dcf.{k}")
                          for k, v in dcf.items()}),
@@ -288,35 +293,19 @@ def _build_config(raw: dict) -> ScenarioConfig:
     return config
 
 
-def _list_of_dicts(value, path: str) -> list[dict]:
-    if not isinstance(value, list):
-        raise ParseError(f"{path}: expected a list")
-    for i, item in enumerate(value):
-        if not isinstance(item, dict):
-            raise ParseError(f"{path}[{i}]: expected an object")
-    return value
-
-
-def _parse_ap(raw: dict, path: str) -> ApConfig:
-    _require(raw, path, {"id": True, "position": True,
-                         "wall_powered": False, "mac": False})
+def _parse_ap(raw, path: str) -> ApConfig:
+    _require(raw, path, {"id": True, "position": True, "mac": False})
     mac = raw.get("mac")
     if mac is not None:
         mac = _string(mac, path + ".mac")
-    wall = raw.get("wall_powered", True)
-    if not isinstance(wall, bool):
-        raise ParseError(f"{path}.wall_powered: expected a boolean")
     return ApConfig(_string(raw["id"], path + ".id"),
-                    _position(raw["position"], path + ".position"),
-                    wall, mac)
+                    _position(raw["position"], path + ".position"), mac)
 
 
-def _parse_device(raw: dict, path: str, violations: list[str]) -> DeviceConfig:
+def _parse_device(raw, path: str, violations: list[str]) -> DeviceConfig:
     _require(raw, path, {"id": True, "position": True, "energy": True,
                          "alpha_bps": True})
     energy_raw = raw["energy"]
-    if not isinstance(energy_raw, dict):
-        raise ParseError(f"{path}.energy: expected an object")
     _require(energy_raw, path + ".energy", {
         "initial_energy": True, "battery_capacity": True,
         "radio_on_power_w": True, "base_power_w": True,
@@ -343,22 +332,19 @@ def _parse_device(raw: dict, path: str, violations: list[str]) -> DeviceConfig:
                         _number(raw["alpha_bps"], path + ".alpha_bps"))
 
 
-def _parse_traffic(raw, violations: list[str]) -> TrafficConfig:
-    if not isinstance(raw, dict):
-        raise ParseError("traffic: expected an object")
-    _require(raw, "traffic", {"saturated": True, "packet_bytes": False})
-    saturated = raw["saturated"]
-    if not isinstance(saturated, bool):
-        raise ParseError("traffic.saturated: expected a boolean")
+def _parse_traffic(raw, violations: list[str]
+                   ) -> float | PacketDistribution | None:
+    """The optional traffic section's packet_bytes."""
+    _require(raw, "traffic", {"packet_bytes": False})
     pb = raw.get("packet_bytes")
     packet_bytes: float | PacketDistribution | None = None
     if isinstance(pb, dict):
         _require(pb, "traffic.packet_bytes", {"choices": True,
                                               "weights": True})
-        choices = tuple(_number(c, "traffic.packet_bytes.choices[]")
-                        for c in pb["choices"])
-        weights = tuple(_number(w, "traffic.packet_bytes.weights[]")
-                        for w in pb["weights"])
+        choices, weights = (
+            tuple(_number(x, f"traffic.packet_bytes.{key}[]")
+                  for x in _list(pb[key], f"traffic.packet_bytes.{key}"))
+            for key in ("choices", "weights"))
         if len(choices) != len(weights) or not choices:
             violations.append(
                 "traffic.packet_bytes: choices and weights must be "
@@ -370,12 +356,10 @@ def _parse_traffic(raw, violations: list[str]) -> TrafficConfig:
         packet_bytes = _number(pb, "traffic.packet_bytes")
         if packet_bytes <= 0:
             violations.append("traffic.packet_bytes must be > 0")
-    return TrafficConfig(saturated, packet_bytes)
+    return packet_bytes
 
 
 def _validate(config: ScenarioConfig, violations: list[str]) -> None:
-    if config.field_size <= 0:
-        violations.append("field_size must be > 0")
     # A zero-length run divides by zero; a zero beacon period never ends.
     if seconds_to_ns(config.duration_s) < 1:
         violations.append("duration_s must be at least 1 ns")
@@ -394,8 +378,6 @@ def _validate(config: ScenarioConfig, violations: list[str]) -> None:
     for ap in config.aps:
         if ap.mac is not None and ap.mac not in MACS:
             violations.append(f"ap {ap.id}: mac must be one of {MACS}")
-    if not config.traffic.saturated:
-        violations.append("only saturated traffic is supported")
     dcf = config.dcf
     if seconds_to_ns(dcf.slot_s) < 1:  # the countdown divides by it
         violations.append("dcf.slot_s must be at least 1 ns")
@@ -413,7 +395,7 @@ def _validate(config: ScenarioConfig, violations: list[str]) -> None:
     if len(set(ids)) != len(ids):
         violations.append("duplicate device id")
 
-    pb = config.traffic.packet_bytes
+    pb = config.packet_bytes
     largest = max(pb.choices if isinstance(pb, PacketDistribution)
                   else (pb or 0.0,), default=0.0)
     for d in config.devices:

@@ -133,25 +133,6 @@ def assign_rates(efficiencies, params: ContentionParams) -> SleepRateAssignment:
     return SleepRateAssignment(SUB_UNIT, 1.0, y_star, RateVector(b * y_star))
 
 
-def relaxed_utility_at_total(total_rate: float, efficiencies,
-                             params: ContentionParams) -> float:
-    """Relaxed objective as a function of the total rate, water level fixed.
-
-    This is the one-dimensional function whose maximizer is
-    ``optimal_total_rate``; exposed so tests can cross-check the closed
-    form numerically.
-    """
-    b = _validated_budgets(efficiencies, allow_zero=True)
-    n = b.size
-    c_star = water_filling_level(b)
-    lt = params.busy_time
-    return (n * math.log(total_rate)
-            - n * math.log(total_rate + 1.0 / lt)
-            - (n - 1) * total_rate * params.sensing_time
-            + n * math.log(params.packet_time / lt)
-            + float(np.log(np.minimum(b, c_star)).sum()))
-
-
 def optimality_bounds(efficiencies, params: ContentionParams
                       ) -> tuple[float, float, float]:
     """(lower, upper, gap) bracketing the relaxed problem's optimum, in nats.

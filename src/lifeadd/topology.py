@@ -41,22 +41,18 @@ class Topology:
         self.ap_positions = np.asarray(ap_positions, dtype=float).reshape(-1, 2)
         self.device_positions = np.asarray(device_positions,
                                            dtype=float).reshape(-1, 2)
-        self.ranges = ranges
         if self.ap_positions.shape[0] == 0:
             raise ValueError("at least one AP is required")
         if self.device_positions.shape[0] == 0:
             raise ValueError("at least one device is required")
 
         dev = self.device_positions
-        ap = self.ap_positions
-        self._dev_dev = _pairwise(dev, dev)
-        self._dev_ap = _pairwise(dev, ap)
-
-        self.device_senses_device = self._dev_dev <= ranges.sensing
+        dev_ap = _pairwise(dev, self.ap_positions)
+        self.device_senses_device = _pairwise(dev, dev) <= ranges.sensing
         np.fill_diagonal(self.device_senses_device, False)
-        self.device_senses_ap = self._dev_ap <= ranges.sensing
-        self.interferes_at = self._dev_ap <= ranges.interference
-        self.hears_ap = self._dev_ap <= ranges.communication
+        self.device_senses_ap = dev_ap <= ranges.sensing
+        self.interferes_at = dev_ap <= ranges.interference
+        self.hears_ap = dev_ap <= ranges.communication
 
         self.associated_ap = np.full(dev.shape[0], -1, dtype=int)
         unreached = []
@@ -65,7 +61,7 @@ class Topology:
             if in_range.size == 0:
                 unreached.append(d)
                 continue
-            self.associated_ap[d] = in_range[np.argmin(self._dev_ap[d, in_range])]
+            self.associated_ap[d] = in_range[np.argmin(dev_ap[d, in_range])]
         if unreached:
             raise UnassociatedDevice(
                 f"devices {unreached} have no AP within communication range "

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -151,9 +152,8 @@ def test_compare_rejects_non_integer_seeds(capsys):
 
 
 def test_solve_lists_ap_that_hears_no_device(tmp_path, capsys):
-    scenario = json.loads(open(NEAR_FAR).read())
-    scenario["aps"].append({"id": "lonely", "position": [
-        scenario["field_size"] * 10, scenario["field_size"] * 10]})
+    scenario = json.loads(Path(NEAR_FAR).read_text())
+    scenario["aps"].append({"id": "lonely", "position": [1500.0, 1500.0]})
     path = tmp_path / "lonely.json"
     path.write_text(json.dumps(scenario))
     code, out, err = run_cli(capsys, "solve", "--scenario", str(path))

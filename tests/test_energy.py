@@ -140,5 +140,4 @@ def test_profile_validation():
 @pytest.mark.parametrize("power", [math.nan, -1.0])
 def test_device_budget_rejects_nan_or_negative_power(power):
     with pytest.raises(ValueError, match="allowed_radio_power must be >= 0"):
-        DeviceBudget(allowed_radio_power=power, efficiency=0.5,
-                     max_lifetime=10.0)
+        DeviceBudget(allowed_radio_power=power, efficiency=0.5)

@@ -219,7 +219,7 @@ def test_rate_vector_validation():
     with pytest.raises(ValueError):
         RateVector(np.array([1.0, -2.0]))
     rv = RateVector(np.array([2.0, 3.0]))
-    assert rv.total == 5.0 and len(rv) == 2
+    assert rv.rates.tolist() == [2.0, 3.0]
 
 
 def test_params_validation_and_warning():

@@ -109,8 +109,7 @@ def simulate_outputs(case: str) -> dict[str, bytes]:
     name, mac, mode, mix, duration_s = SIMULATE[case]
     config = _config(name, duration_s)
     if mix is not None:
-        config = dataclasses.replace(config, traffic=dataclasses.replace(
-            config.traffic, packet_bytes=mix))
+        config = dataclasses.replace(config, packet_bytes=mix)
     trace = io.StringIO() if case in TRACED else None
     report = run_config(config, mode=mode, mac_override=mac, trace=trace)
     outputs = {f"simulate/{case}/json": emit_report(report, "json"),

@@ -395,12 +395,9 @@ def test_mixed_macs_coexist_in_one_run():
 
 def test_packet_length_distribution_runs_deterministically():
     cfg = parse_scenario("scenarios/near_far_pair.json")
-    traffic = dataclasses.replace(
-        cfg.traffic, packet_bytes=None)
     import lifeadd.scenario as sc
     dist = sc.PacketDistribution(choices=(400.0, 1500.0), weights=(0.5, 0.5))
-    cfg = dataclasses.replace(cfg, traffic=sc.TrafficConfig(True, dist),
-                              duration_s=5.0)
+    cfg = dataclasses.replace(cfg, packet_bytes=dist, duration_s=5.0)
     a = emit_report(run_config(cfg, seed=3, mac_override=LIFEADD), "json")
     b = emit_report(run_config(cfg, seed=3, mac_override=LIFEADD), "json")
     assert a == b

@@ -202,3 +202,13 @@ def test_peak_memory_of_validate_at_three_devices():
     # The 1e6-cycle validate: near 18 MB with chunk-long transmit indices
     # and reward weights, near 4.6 MB with only the (m,) cycle lengths.
     assert traced_peak(np.array([3774.3, 5661.4, 9435.7]), 1_000_000) < 8e6
+
+
+def test_peak_memory_does_not_grow_with_chunks():
+    # Every chunk reuses one pair of cycle-length and transmit buffers,
+    # so the peak does not grow with the chunk count.  The first traced
+    # call in a process carries one-time allocations: warm up first.
+    rates = np.array([3774.3, 5661.4, 9435.7])
+    traced_peak(rates, 1000)
+    one_chunk = traced_peak(rates, renewal._CHUNK)
+    assert traced_peak(rates, 1_000_000) <= one_chunk + 64 * 1024

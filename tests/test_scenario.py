@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -6,7 +7,6 @@ from lifeadd.energy import joules_from_mah
 from lifeadd.scenario import (ParseError, ValidationError, parse_scenario)
 
 BASE = {
-    "field_size": 50.0,
     "aps": [{"id": "ap0", "position": [25.0, 25.0]}],
     "devices": [
         {"id": "d0", "position": [10.0, 10.0],
@@ -21,7 +21,6 @@ BASE = {
     "mode": "realistic",
     "contention": {"sensing_time_s": 4e-6, "packet_time_s": 0.9e-3,
                    "ack_time_s": 1e-4},
-    "traffic": {"saturated": True},
     "duration_s": 10.0,
     "seed": 1,
 }
@@ -31,6 +30,17 @@ def write(tmp_path, payload):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(payload))
     return path
+
+
+def put(payload, field, value):
+    """Set a dotted field path, such as ``devices.0.energy``."""
+    *parents, key = [int(p) if p.isdigit() else p for p in field.split(".")]
+    node = payload
+    for part in parents:
+        if isinstance(part, str):
+            node.setdefault(part, {})
+        node = node[part]
+    node[key] = value
 
 
 def test_stepped_battery_profiles_parse_to_expected_budgets():
@@ -70,6 +80,59 @@ def test_duplicate_device_id_rejected(tmp_path):
         parse_scenario(write(tmp_path, payload))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("ranges", 5, "ranges: expected an object"),
+    ("ranges", ["sensing", "interference", "communication"],
+     "ranges: expected an object"),
+    ("contention", 5, "contention: expected an object"),
+    ("dcf", 5, "dcf: expected an object"),
+    ("traffic", 5, "traffic: expected an object"),
+    ("aps.0", 5, "aps[0]: expected an object"),
+    ("devices.0.energy", 5, "devices[0].energy: expected an object"),
+    ("traffic.packet_bytes", {"choices": 5, "weights": [1.0]},
+     "traffic.packet_bytes.choices: expected a list"),
+    ("traffic.packet_bytes", {"choices": [1.0], "weights": 5},
+     "traffic.packet_bytes.weights: expected a list"),
+])
+def test_wrongly_shaped_section_names_its_path(tmp_path, field, value,
+                                               message):
+    payload = json.loads(json.dumps(BASE))
+    put(payload, field, value)
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_scenario(write(tmp_path, payload))
+
+
+def test_top_level_must_be_an_object(tmp_path):
+    with pytest.raises(ParseError, match="scenario: expected an object"):
+        parse_scenario(write(tmp_path, [BASE]))
+
+
+def test_repeated_key_rejected(tmp_path):
+    text = json.dumps(BASE)
+    path = tmp_path / "scenario.json"
+    path.write_text(text[:-1] + ', "seed": 7}')
+    with pytest.raises(ParseError, match=r"duplicate key.*'seed'"):
+        parse_scenario(path)
+    path.write_text(text.replace('"sensing": 110.0',
+                                 '"sensing": 110.0, "sensing": 5.0'))
+    with pytest.raises(ParseError, match=r"duplicate key.*'sensing'"):
+        parse_scenario(path)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("field_size", "scenario: unknown key(s) ['field_size']"),
+    ("aps.0.wall_powered", "aps[0]: unknown key(s) ['wall_powered']"),
+    ("traffic.saturated", "traffic: unknown key(s) ['saturated']"),
+])
+def test_dropped_keys_rejected_by_name(tmp_path, field, message):
+    # Scenario files once carried these; the model assumes APs on wall
+    # power and saturated traffic, and nothing read the field size.
+    payload = json.loads(json.dumps(BASE))
+    put(payload, field, True)
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_scenario(write(tmp_path, payload))
+
+
 def test_unknown_key_rejected_with_path(tmp_path):
     payload = json.loads(json.dumps(BASE))
     payload["devices"][0]["oops"] = 1
@@ -83,7 +146,7 @@ def test_unknown_key_rejected_with_path(tmp_path):
 
 def test_bad_json_reports_line(tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text('{\n  "field_size": 50.0,\n  oops\n}')
+    path.write_text('{\n  "seed": 1,\n  oops\n}')
     with pytest.raises(ParseError, match="line 3"):
         parse_scenario(path)
 
@@ -107,11 +170,11 @@ def test_all_violations_reported_together(tmp_path):
     payload = json.loads(json.dumps(BASE))
     payload["duration_s"] = -1.0
     payload["mac"] = "token-ring"
-    payload["traffic"]["saturated"] = False
+    payload["ranges"]["sensing"] = 0.0
     with pytest.raises(ValidationError) as err:
         parse_scenario(write(tmp_path, payload))
     text = str(err.value)
-    assert "duration_s" in text and "mac" in text and "saturated" in text
+    assert "duration_s" in text and "mac" in text and "ranges" in text
     assert len(err.value.violations) >= 3
 
 
@@ -141,8 +204,8 @@ def test_renewal_ignores_dcf_ap_that_serves_no_device(tmp_path):
 
 def test_packet_distribution_validation(tmp_path):
     payload = json.loads(json.dumps(BASE))
-    payload["traffic"]["packet_bytes"] = {"choices": [100.0, 1500.0],
-                                          "weights": [0.5]}
+    payload["traffic"] = {"packet_bytes": {"choices": [100.0, 1500.0],
+                                           "weights": [0.5]}}
     with pytest.raises(ValidationError, match="same length"):
         parse_scenario(write(tmp_path, payload))
     payload["traffic"]["packet_bytes"] = {"choices": [100.0, -5.0],
@@ -153,19 +216,18 @@ def test_packet_distribution_validation(tmp_path):
 
 def test_packet_longer_than_the_run_is_rejected(tmp_path):
     payload = json.loads(json.dumps(BASE))
-    payload["traffic"]["packet_bytes"] = 1e300
+    payload["traffic"] = {"packet_bytes": 1e300}
     with pytest.raises(ValidationError, match="traffic.packet_bytes"):
         parse_scenario(write(tmp_path, payload))
     # 11 Mb/s for 10 s is 13.75e6 bytes: the largest packet that fits.
     payload["traffic"]["packet_bytes"] = 13.75e6
-    assert parse_scenario(write(tmp_path, payload)).traffic.packet_bytes \
-        == 13.75e6
+    assert parse_scenario(write(tmp_path, payload)).packet_bytes == 13.75e6
 
 
 def test_packet_distribution_longer_than_the_run_is_rejected(tmp_path):
     payload = json.loads(json.dumps(BASE))
-    payload["traffic"]["packet_bytes"] = {"choices": [1500.0, 1e300],
-                                          "weights": [0.5, 0.5]}
+    payload["traffic"] = {"packet_bytes": {"choices": [1500.0, 1e300],
+                                           "weights": [0.5, 0.5]}}
     with pytest.raises(ValidationError, match="traffic.packet_bytes"):
         parse_scenario(write(tmp_path, payload))
 

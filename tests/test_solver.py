@@ -12,8 +12,7 @@ from lifeadd.formulas import ContentionParams, log_throughput_utility
 from lifeadd.solver import (SUB_UNIT, SUPER_UNIT, DegenerateBudget,
                             NoFeasiblePoint, SubUnitRegime, assign_rates,
                             brute_force_oracle, optimal_total_rate,
-                            optimality_bounds, relaxed_utility_at_total,
-                            water_filling_level)
+                            optimality_bounds, water_filling_level)
 
 PARAMS = ContentionParams(sensing_time=4e-6, packet_time=0.9e-3,
                           ack_time=1e-4)
@@ -66,6 +65,22 @@ def test_total_rate_hand_value():
     assert expected == pytest.approx(18871.37, abs=0.01)
 
 
+def relaxed_utility_at_total(total_rate, budgets, params):
+    """Relaxed objective as a function of the total rate, water level fixed.
+
+    This is the one-dimensional function whose maximizer is
+    ``optimal_total_rate``.
+    """
+    b = np.asarray(budgets, dtype=float)
+    n = b.size
+    lt = params.busy_time
+    return (n * math.log(total_rate)
+            - n * math.log(total_rate + 1.0 / lt)
+            - (n - 1) * total_rate * params.sensing_time
+            + n * math.log(params.packet_time / lt)
+            + float(np.log(np.minimum(b, water_filling_level(b))).sum()))
+
+
 def test_total_rate_matches_numeric_maximizer():
     budgets = [2.0, 2.0, 2.0]
     y_star = optimal_total_rate(3, PARAMS)
@@ -109,8 +124,8 @@ def test_subunit_fixed_point_residual():
 
 
 def test_subunit_blows_up_near_regime_boundary():
-    lo = assign_rates([0.3, 0.3, 0.3], PARAMS).rates.total
-    hi = assign_rates([0.333, 0.333, 0.333], PARAMS).rates.total
+    lo = assign_rates([0.3, 0.3, 0.3], PARAMS).rates.rates.sum()
+    hi = assign_rates([0.333, 0.333, 0.333], PARAMS).rates.rates.sum()
     assert hi > 30 * lo
 
 
