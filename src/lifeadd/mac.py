@@ -30,6 +30,11 @@ together with, for each device and each AP, the DCF stations that sense
 it; the per-event code indexes those rather than numpy.  Every channel
 reader skips sources with ``end <= now``, so the active transmission and
 ACK lists are pruned only when a source ends (``TX_END``, ``ACK_END``).
+A DCF station, which hears a source from its first nanosecond, reads no
+list: ``busy_horizon_ns``, the latest end of any source it hears, rises
+where a source keys up.  Sources start only at the current event time and
+never end early, so its channel is busy until the horizon if that is later
+than now, and idle otherwise.  The rule holds only for DCF readers.
 
 Per-wake sensing inside a known-busy window is aggregated into one Poisson
 draw for the wake count (each wake costs one sensing time of energy); the
@@ -73,7 +78,7 @@ class DcfParams:
     cw_max: int = 1023
 
 
-@dataclass
+@dataclass(slots=True)
 class _Transmission:
     device: int
     ap: int
@@ -86,7 +91,7 @@ class _Transmission:
     success: bool = False       # decided when the transmission ends
 
 
-@dataclass
+@dataclass(slots=True)
 class _Ack:
     ap: int
     device: int
@@ -121,6 +126,7 @@ class _Device:
         self.cw = 0
         self.residual_slots = 0
         self.countdown_start_ns = 0
+        self.busy_horizon_ns = 0    # latest end of any source it hears
         # End of the running countdown; None while the station waits for
         # a busy channel to clear, after an interruption, or transmits.
         self.backoff_end_ns: int | None = None
@@ -244,14 +250,12 @@ class Simulation:
     # -- channel --------------------------------------------------------
 
     def _sensed_busy_until(self, dev: _Device, now_ns: int) -> int | None:
-        """Latest end among busy sources the device senses, or None if idle.
+        """Latest end among busy sources a sleep-wake device senses, or None.
 
-        For a sleep-wake device a data transmission or ACK counts when it
-        started at least the sensing time ago (more recent starts are
-        undetectable).  A DCF station listens continuously, so its defer
-        decision counts sources of any age.
+        A data transmission or ACK counts when it started at least the
+        sensing time ago (more recent starts are undetectable).
         """
-        heard = now_ns if dev.mac == DCF else now_ns - self.ts_ns
+        heard = now_ns - self.ts_ns
         busy_until = None
         senses = self.senses_device[dev.idx]
         for tx in self.active_tx:
@@ -281,12 +285,12 @@ class Simulation:
             if ack.ap == tx.ap and ack.end > now_ns:
                 tx.ack_overlap = True
         self._interrupt_dcf_countdowns(
-            now_ns, self.dcf_sensing_device[dev.idx],
+            now_ns, tx.end, self.dcf_sensing_device[dev.idx],
             blind_ns=self.slot_ns if dev.mac == DCF else self.ts_ns)
         self.active_tx.append(tx)
         dev.current_tx = tx
         self.queue.schedule(tx.end, EventKind.TX_END, device=dev.idx)
-        self._emit_trace(now_ns, "tx_start", dev.idx, f"ap={tx.ap}")
+        self._emit_trace(now_ns, "tx_start", dev.idx, "ap=", tx.ap)
 
     def _evaluate_transmission(self, tx: _Transmission) -> bool:
         """True when the AP decodes the packet (no qualifying interferer).
@@ -366,7 +370,7 @@ class Simulation:
                 if other is not tx and other.ap == tx.ap and other.end > now_ns:
                     other.ack_overlap = True
             self._interrupt_dcf_countdowns(
-                now_ns, self.dcf_sensing_ap[tx.ap], blind_ns=self.ts_ns)
+                now_ns, ack.end, self.dcf_sensing_ap[tx.ap], self.ts_ns, dev)
             self.queue.schedule(now_ns + self.ack_ns, EventKind.ACK_END,
                                 device=dev.idx, ap=tx.ap)
         else:
@@ -400,23 +404,24 @@ class Simulation:
                 dev.congestion_factor = min(
                     dev.congestion_factor * 2, MAX_CONGESTION_FACTOR)
             self._emit_trace(now_ns, "ack" if success else "timeout",
-                             dev.idx, f"F={dev.congestion_factor}")
+                             dev.idx, "F=", dev.congestion_factor)
             if dev.alive:
                 self._schedule_wake(dev, now_ns)
         else:
             self._drain(dev, now_ns)
             self._dcf_redraw(dev, success)
             self._emit_trace(now_ns, "ack" if success else "timeout",
-                             dev.idx, f"cw={dev.cw}")
+                             dev.idx, "cw=", dev.cw)
             if dev.alive:
                 self._dcf_decide(dev, now_ns)
 
     # -- DCF device -------------------------------------------------------
 
-    def _interrupt_dcf_countdowns(self, now_ns: int,
-                                  listeners: list[_Device],
-                                  blind_ns: int) -> None:
-        """Freeze the countdowns of the DCF listeners when a source keys up.
+    def _interrupt_dcf_countdowns(self, now_ns: int, end_ns: int,
+                                  listeners: list[_Device], blind_ns: int,
+                                  skip: _Device | None = None) -> None:
+        """Raise the DCF listeners' busy horizons to a keyed-up source's end
+        and freeze their countdowns; ``skip`` is an ACK's own station.
 
         The slots completed before the interruption are consumed from the
         residual, as in binary exponential backoff.  A countdown ending
@@ -426,6 +431,8 @@ class Simulation:
         post-busy countdowns share slot boundaries.
         """
         for other in listeners:
+            if end_ns > other.busy_horizon_ns and other is not skip:
+                other.busy_horizon_ns = end_ns
             if (not other.alive or other.backoff_end_ns is None
                     or other.backoff_end_ns < now_ns + blind_ns):
                 continue
@@ -442,10 +449,9 @@ class Simulation:
         dev.residual_slots = dev.stream.integers(0, dev.cw)
 
     def _dcf_decide(self, dev: _Device, now_ns: int) -> None:
-        busy_until = self._sensed_busy_until(dev, now_ns)
-        if busy_until is not None:
+        if dev.busy_horizon_ns > now_ns:  # wait for the channel to clear
             dev.backoff_end_ns = None
-            self.queue.schedule(busy_until, EventKind.BACKOFF_END,
+            self.queue.schedule(dev.busy_horizon_ns, EventKind.BACKOFF_END,
                                 device=dev.idx)
             return
         wait_ns = seconds_to_ns(self.dcf.difs_s
@@ -539,9 +545,10 @@ class Simulation:
 
     # -- main loop ---------------------------------------------------------
 
-    def _emit_trace(self, time_ns: int, kind: str, device, detail: str) -> None:
-        if self.trace is not None:
-            self.trace.write(f"{time_ns}\t{kind}\t{device}\t{detail}\n")
+    def _emit_trace(self, time_ns: int, kind: str, device, detail="",
+                    value="") -> None:
+        if self.trace is not None:  # the detail is formatted only if traced
+            self.trace.write(f"{time_ns}\t{kind}\t{device}\t{detail}{value}\n")
 
     def run(self) -> SimReport:
         self._plan_rates()

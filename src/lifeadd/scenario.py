@@ -387,6 +387,8 @@ def _validate(config: ScenarioConfig, violations: list[str]) -> None:
         violations.append(
             f"dcf: need 0 <= cw_min <= cw_max, got cw_min={dcf.cw_min} "
             f"and cw_max={dcf.cw_max}")
+    if dcf.cw_max >= 2**63:  # the backoff draw is a 64-bit integer
+        violations.append("dcf.cw_max must be below 2**63")
 
     ids = [a.id for a in config.aps]
     if len(set(ids)) != len(ids):

@@ -5,12 +5,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lifeadd.energy import EnergyProfile
 from lifeadd.formulas import ContentionParams, success_time_fraction
 from lifeadd.kernel import EventKind, EventQueue
-from lifeadd.mac import (DCF, LIFEADD, REALISTIC, Simulation, run_config,
-                         select_rates)
+from lifeadd.mac import (DCF, LIFEADD, MACS, REALISTIC, Simulation,
+                         run_config, select_rates)
 from lifeadd.report import emit_report
 from lifeadd.scenario import parse_scenario
 from lifeadd.solver import assign_rates, optimal_total_rate
@@ -318,7 +320,8 @@ def test_dcf_interruption_consumes_completed_slots_after_difs():
     assert waiting.residual_slots == 7
     assert waiting.backoff_end_ns is None
     # A second source keying up does not consume the frozen slots again.
-    sim._interrupt_dcf_countdowns(now + 2 * sim.slot_ns, [waiting],
+    later = now + 2 * sim.slot_ns
+    sim._interrupt_dcf_countdowns(later, later + sim.ack_ns, [waiting],
                                   blind_ns=sim.slot_ns)
     assert waiting.residual_slots == 7
 
@@ -506,3 +509,79 @@ def test_one_device_event_outstanding_through_deaths():
     rep = checked_run(sim)
     assert [d.alive for d in sim.devices] == [False, False, True, True]
     assert all(row.tx_success > 0 for row in rep.devices)
+
+
+# -- the DCF busy horizon ----------------------------------------------------
+
+
+def scanned_busy_until(sim, dev, now_ns):
+    """The DCF channel reader the busy horizon replaced: a scan of every
+    active source the station senses, of any age, but its own ACK."""
+    busy_until = None
+    senses = sim.senses_device[dev.idx]
+    for tx in sim.active_tx:
+        if tx.end > now_ns and tx.start <= now_ns and senses[tx.device]:
+            busy_until = max(busy_until or 0, tx.end)
+    senses = sim.senses_ap[dev.idx]
+    for ack in sim.active_acks:
+        if (ack.end > now_ns and ack.start <= now_ns and senses[ack.ap]
+                and ack.device != dev.idx):
+            busy_until = max(busy_until or 0, ack.end)
+    return busy_until
+
+
+class HorizonChecked(Simulation):
+    """At every DCF decision, every DCF station's horizon answer must be
+    the scan's."""
+
+    decisions = busy = 0
+
+    def _dcf_decide(self, dev, now_ns):
+        for station in self.devices:
+            if station.mac == DCF:
+                horizon = station.busy_horizon_ns
+                answer = horizon if horizon > now_ns else None
+                assert answer == scanned_busy_until(self, station, now_ns), (
+                    f"station {station.idx} at {now_ns} ns")
+                self.busy += answer is not None
+        self.decisions += 1
+        super()._dcf_decide(dev, now_ns)
+
+
+PACKET_BYTES = np.array([400.0, 1500.0])
+
+
+def mixed_packets(dev):
+    return dev.stream.choice(PACKET_BYTES, [0.3, 0.7]) * 8.0 / dev.alpha
+
+
+@st.composite
+def dcf_fields(draw):
+    n_aps, n_devices = draw(st.integers(1, 3)), draw(st.integers(2, 8))
+    point = st.lists(st.floats(0.0, 120.0), min_size=2, max_size=2)
+    topo = build_topology(
+        draw(st.lists(point, min_size=n_aps, max_size=n_aps)),
+        draw(st.lists(point, min_size=n_devices, max_size=n_devices)),
+        Ranges(draw(st.floats(20.0, 150.0)), draw(st.floats(20.0, 150.0)),
+               200.0))
+    ap_macs = draw(st.one_of(
+        st.just([DCF] * n_aps),
+        st.lists(st.sampled_from(MACS), min_size=n_aps, max_size=n_aps)))
+    macs = [ap_macs[ap] for ap in topo.associated_ap]
+    assume(DCF in macs)
+    # Some stations die inside the run (at 0.1 s on DCF).
+    dying = EnergyProfile(initial_energy=0.15, battery_capacity=0.15,
+                          radio_on_power=1.0, base_power=0.5)
+    profiles = [dying if short else big_profile() for short in draw(
+        st.lists(st.booleans(), min_size=n_devices, max_size=n_devices))]
+    return HorizonChecked(
+        topo, profiles, [2.0] * n_devices, [11e6] * n_devices, macs, PARAMS,
+        0.2, draw(st.integers(0, 2**32)), mode="realistic",
+        packet_sampler=draw(st.sampled_from([None, mixed_packets])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dcf_fields())
+def test_busy_horizon_equals_the_channel_scan(sim):
+    checked_run(sim)
+    assert sim.decisions > 0

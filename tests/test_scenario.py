@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from lifeadd.cli import main
 from lifeadd.energy import joules_from_mah
 from lifeadd.scenario import (ParseError, ValidationError, parse_scenario)
 
@@ -326,3 +327,33 @@ def test_timing_beyond_the_nanosecond_clock_rejected(tmp_path, field):
     (payload.setdefault(block, {}) if block else payload)[key] = 1e300
     with pytest.raises(ParseError, match=field.replace(".", r"\.")):
         parse_scenario(write(tmp_path, payload))
+
+
+def near_far_dcf(tmp_path, cw):
+    """A copy of near_far_pair on DCF, 0.1 s long, with cw_min = cw_max."""
+    with open("scenarios/near_far_pair.json") as f:
+        payload = json.load(f)
+    payload.update(mac="dcf", duration_s=0.1,
+                   dcf={"cw_min": cw, "cw_max": cw})
+    return write(tmp_path, payload)
+
+
+@pytest.mark.parametrize("cw", [10**30, 2**63])
+def test_backoff_window_beyond_int64_rejected(tmp_path, capsys, cw):
+    path = near_far_dcf(tmp_path, cw)
+    with pytest.raises(ValidationError, match=r"dcf\.cw_max must be below"):
+        parse_scenario(path)
+    code = main(["simulate", "--scenario", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "invalid_input"
+    assert "dcf.cw_max" in error["message"]
+
+
+def test_largest_int64_backoff_window_runs(tmp_path, capsys):
+    code = main(["simulate", "--scenario",
+                 str(near_far_dcf(tmp_path, 2**63 - 1))])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert [d["mac"] for d in json.loads(out)["devices"]] == ["dcf", "dcf"]
