@@ -59,6 +59,12 @@ from .report import DeviceMetrics, SimReport
 from .solver import assign_rates
 from .topology import Topology
 
+# The event kinds as globals, in EventKind's order (a test checks the
+# names): reading an Enum member through its class costs about 0.2 us, as
+# EnumType defines __getattr__, and reading a global a tenth of that.
+(WAKE, TX_END, ACK_END, TIMEOUT, BACKOFF_END, BEACON, CYCLE_START,
+ END_OF_SIM) = EventKind
+
 MAX_CONGESTION_FACTOR = 32
 BEACON_PERIOD_S = 0.1
 
@@ -289,7 +295,7 @@ class Simulation:
             blind_ns=self.slot_ns if dev.mac == DCF else self.ts_ns)
         self.active_tx.append(tx)
         dev.current_tx = tx
-        self.queue.schedule(tx.end, EventKind.TX_END, device=dev.idx)
+        self.queue.schedule(tx.end, TX_END, dev.idx)
         self._emit_trace(now_ns, "tx_start", dev.idx, "ap=", tx.ap)
 
     def _evaluate_transmission(self, tx: _Transmission) -> bool:
@@ -326,8 +332,7 @@ class Simulation:
         # dev.effective_rate, inlined
         delay = dev.stream.exponential(
             dev.assigned_rate / dev.congestion_factor)
-        self.queue.schedule(from_ns + seconds_to_ns(delay), EventKind.WAKE,
-                            dev.idx)
+        self.queue.schedule(from_ns + seconds_to_ns(delay), WAKE, dev.idx)
 
     def _sleep_through_busy(self, dev: _Device, now_ns: int,
                             busy_until: int) -> None:
@@ -371,11 +376,9 @@ class Simulation:
                     other.ack_overlap = True
             self._interrupt_dcf_countdowns(
                 now_ns, ack.end, self.dcf_sensing_ap[tx.ap], self.ts_ns, dev)
-            self.queue.schedule(now_ns + self.ack_ns, EventKind.ACK_END,
-                                device=dev.idx, ap=tx.ap)
+            self.queue.schedule(now_ns + self.ack_ns, ACK_END, dev.idx, tx.ap)
         else:
-            self.queue.schedule(now_ns + self.ack_ns, EventKind.TIMEOUT,
-                                device=dev.idx, ap=tx.ap)
+            self.queue.schedule(now_ns + self.ack_ns, TIMEOUT, dev.idx, tx.ap)
         self._prune_channel(now_ns)
         self._emit_trace(now_ns, "tx_end", dev.idx, "")
 
@@ -451,15 +454,13 @@ class Simulation:
     def _dcf_decide(self, dev: _Device, now_ns: int) -> None:
         if dev.busy_horizon_ns > now_ns:  # wait for the channel to clear
             dev.backoff_end_ns = None
-            self.queue.schedule(dev.busy_horizon_ns, EventKind.BACKOFF_END,
-                                device=dev.idx)
+            self.queue.schedule(dev.busy_horizon_ns, BACKOFF_END, dev.idx)
             return
         wait_ns = seconds_to_ns(self.dcf.difs_s
                                 + dev.residual_slots * self.dcf.slot_s)
         dev.countdown_start_ns = now_ns
         dev.backoff_end_ns = now_ns + wait_ns
-        self.queue.schedule(dev.backoff_end_ns, EventKind.BACKOFF_END,
-                            device=dev.idx)
+        self.queue.schedule(dev.backoff_end_ns, BACKOFF_END, dev.idx)
 
     def _on_backoff_end(self, event: Event) -> None:
         """The channel cleared or the countdown ran out: re-decide or send."""
@@ -497,8 +498,7 @@ class Simulation:
                     and self.planned_rates[d] != dev.assigned_rate):
                 dev.mark_rate(now_ns)
                 dev.assigned_rate = self.planned_rates[d]
-        self.queue.schedule(now_ns + self.beacon_period_ns, EventKind.BEACON,
-                            ap=ap)
+        self.queue.schedule(now_ns + self.beacon_period_ns, BEACON, ap=ap)
 
     # -- renewal-mode cycle engine ----------------------------------------
 
@@ -541,7 +541,7 @@ class Simulation:
             self._charge_radio(d, boundary,
                                (1 + extra) * self.params.sensing_time)
         if boundary < self.duration_ns and any(d.alive for d in self.devices):
-            self.queue.schedule(boundary, EventKind.CYCLE_START)
+            self.queue.schedule(boundary, CYCLE_START)
 
     # -- main loop ---------------------------------------------------------
 
@@ -556,7 +556,7 @@ class Simulation:
             if dev.mac == LIFEADD:
                 dev.assigned_rate = dev.initial_rate = rate
         if self.mode == RENEWAL:
-            self.queue.schedule(0, EventKind.CYCLE_START)
+            self.queue.schedule(0, CYCLE_START)
         else:
             for dev in self.devices:
                 if dev.mac == LIFEADD:
@@ -567,19 +567,16 @@ class Simulation:
                     self._dcf_decide(dev, 0)
             for ap in range(self.topology.n_aps):
                 if self.ap_plans[ap] is not None:
-                    self.queue.schedule(self.beacon_period_ns,
-                                        EventKind.BEACON, ap=ap)
+                    self.queue.schedule(self.beacon_period_ns, BEACON, ap=ap)
 
-        handlers = {EventKind.WAKE: self._on_wake,
-                    EventKind.TX_END: self._on_tx_end,
-                    EventKind.ACK_END: self._on_attempt_done,
-                    EventKind.TIMEOUT: self._on_attempt_done,
-                    EventKind.BACKOFF_END: self._on_backoff_end,
-                    EventKind.BEACON: self._on_beacon,
-                    EventKind.CYCLE_START: self._on_cycle_start}
+        handlers = {WAKE: self._on_wake, TX_END: self._on_tx_end,
+                    ACK_END: self._on_attempt_done,
+                    TIMEOUT: self._on_attempt_done,
+                    BACKOFF_END: self._on_backoff_end, BEACON: self._on_beacon,
+                    CYCLE_START: self._on_cycle_start}
         next_event = self.queue.next
         duration_ns = self.duration_ns
-        end = EventKind.END_OF_SIM
+        end = END_OF_SIM
         while True:
             event = next_event()
             if event.kind is end or event.time >= duration_ns:

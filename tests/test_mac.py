@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import lifeadd.mac
 from lifeadd.energy import EnergyProfile
 from lifeadd.formulas import ContentionParams, success_time_fraction
 from lifeadd.kernel import EventKind, EventQueue
@@ -443,6 +444,12 @@ def test_trace_and_report_agree_on_death_times():
 
 
 # -- the one-event-per-device invariant -------------------------------------
+
+
+def test_event_kind_globals_name_their_members():
+    names = [getattr(lifeadd.mac, kind.name) for kind in EventKind]
+    assert names == list(EventKind)
+
 
 DEVICE_EVENTS = frozenset({EventKind.WAKE, EventKind.BACKOFF_END,
                            EventKind.TX_END, EventKind.ACK_END,
