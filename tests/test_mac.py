@@ -443,13 +443,12 @@ def test_trace_and_report_agree_on_death_times():
         assert row.tx_collision == outcomes[d, "timeout"]
 
 
-# -- the one-event-per-device invariant -------------------------------------
-
-
 def test_event_kind_globals_name_their_members():
     names = [getattr(lifeadd.mac, kind.name) for kind in EventKind]
     assert names == list(EventKind)
 
+
+# -- the one-event-per-device invariant -------------------------------------
 
 DEVICE_EVENTS = frozenset({EventKind.WAKE, EventKind.BACKOFF_END,
                            EventKind.TX_END, EventKind.ACK_END,
@@ -541,7 +540,7 @@ class HorizonChecked(Simulation):
     """At every DCF decision, every DCF station's horizon answer must be
     the scan's."""
 
-    decisions = busy = 0
+    decisions = 0
 
     def _dcf_decide(self, dev, now_ns):
         for station in self.devices:
@@ -550,7 +549,6 @@ class HorizonChecked(Simulation):
                 answer = horizon if horizon > now_ns else None
                 assert answer == scanned_busy_until(self, station, now_ns), (
                     f"station {station.idx} at {now_ns} ns")
-                self.busy += answer is not None
         self.decisions += 1
         super()._dcf_decide(dev, now_ns)
 
