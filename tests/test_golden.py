@@ -5,7 +5,7 @@ output byte fails here.  Covered: ``solve`` for every checked-in
 scenario, ``simulate`` JSON and CSV for every scenario in its own mode
 and with ``--mac lifeadd`` and ``--mac dcf`` (renewal scenarios run DCF
 in realistic mode), one trace with battery deaths and beacon recomputes,
-a packet-size distribution, ``gap-sweep`` with the oracle and
+the renewal (``CYCLE_START``) engine's trace, a packet-size distribution, ``gap-sweep`` with the oracle and
 ``validate`` at a reduced cycle count, plus one ``validate`` of 400,001
 cycles: three Monte-Carlo chunks, the last of a single row.
 
@@ -82,8 +82,8 @@ def _simulate_cases() -> dict:
 
 
 SIMULATE = _simulate_cases()
-TRACED = ("single_ap_lifetime-own", "multi_ap_4x30-dcf-16s",
-          "coexistence_4ap-own-16s")
+TRACED = ("single_ap_lifetime-own", "single_ap_validation-own",
+          "multi_ap_4x30-dcf-16s", "coexistence_4ap-own-16s")
 # Case id -> (scenario, cycles).
 VALIDATE = {"heterogeneous_trio": ("heterogeneous_trio", "20000"),
             "single_ap_validation": ("single_ap_validation", "20000"),
