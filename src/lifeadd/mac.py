@@ -48,7 +48,7 @@ from the device's PCG64 stream, and every value equals the scalar
 
 from __future__ import annotations
 
-import math
+from math import floor, inf, log
 from dataclasses import dataclass, field
 
 from .energy import EnergyProfile
@@ -126,7 +126,7 @@ class _Device:
         # sleep-wake state
         self.assigned_rate = 0.0
         self.initial_rate = 0.0
-        self.congestion_factor = 1
+        self.congestion_factor = 1  # effective rate: assigned_rate / it
         self.current_tx: _Transmission | None = None
         # DCF state
         self.cw = 0
@@ -144,14 +144,10 @@ class _Device:
         self.rate_integral = 0.0    # integral of effective rate over time
         self.rate_mark_ns = 0
 
-    @property
-    def effective_rate(self) -> float:
-        return self.assigned_rate / self.congestion_factor
-
     def mark_rate(self, now_ns: int) -> None:
         """Fold the running effective rate into its time integral."""
-        self.rate_integral += self.effective_rate * ns_to_seconds(
-            now_ns - self.rate_mark_ns)
+        self.rate_integral += (self.assigned_rate / self.congestion_factor
+                               * ns_to_seconds(now_ns - self.rate_mark_ns))
         self.rate_mark_ns = now_ns
 
 
@@ -213,12 +209,10 @@ class Simulation:
         """Apply wall-clock drain since the last update; return dev.alive."""
         if not dev.alive or now_ns <= dev.last_drain_ns:
             return dev.alive
-        dt = (now_ns - dev.last_drain_ns) / NS_PER_S
         rate = dev.drain_rate
-        level = dev.battery - rate * dt
+        level = dev.battery - rate * ((now_ns - dev.last_drain_ns) / NS_PER_S)
         if level <= 0.0 and rate > 0:
-            overshoot = -level
-            self._kill(dev, now_ns - seconds_to_ns(overshoot / rate))
+            self._kill(dev, now_ns - seconds_to_ns(-level / rate))
             return False
         cap = dev.profile.battery_capacity
         dev.battery = (level if 0.0 <= level <= cap
@@ -239,9 +233,8 @@ class Simulation:
             total = (dev.profile.radio_on_power + dev.profile.base_power
                      - dev.profile.recharge_rate)
             if window_start_ns is not None and total > 0:
-                undershoot = -dev.battery
-                self._kill(dev, max(window_start_ns,
-                                    now_ns - seconds_to_ns(undershoot / total)))
+                self._kill(dev, max(window_start_ns, now_ns - seconds_to_ns(
+                    -dev.battery / total)))
             else:
                 self._kill(dev, now_ns)
 
@@ -255,32 +248,9 @@ class Simulation:
 
     # -- channel --------------------------------------------------------
 
-    def _sensed_busy_until(self, dev: _Device, now_ns: int) -> int | None:
-        """Latest end among busy sources a sleep-wake device senses, or None.
-
-        A data transmission or ACK counts when it started at least the
-        sensing time ago (more recent starts are undetectable).
-        """
-        heard = now_ns - self.ts_ns
-        busy_until = None
-        senses = self.senses_device[dev.idx]
-        for tx in self.active_tx:
-            if tx.end > now_ns and tx.start <= heard and senses[tx.device]:
-                busy_until = max(busy_until or 0, tx.end)
-        senses = self.senses_ap[dev.idx]
-        for ack in self.active_acks:
-            if (ack.end > now_ns and ack.start <= heard and senses[ack.ap]
-                    and ack.device != dev.idx):
-                busy_until = max(busy_until or 0, ack.end)
-        return busy_until
-
-    def _packet_ns(self, dev: _Device) -> int:
-        if self.packet_sampler is None:
-            return self.packet_ns
-        return seconds_to_ns(self.packet_sampler(dev))
-
     def _begin_transmission(self, dev: _Device, now_ns: int) -> None:
-        length = self._packet_ns(dev)
+        length = (self.packet_ns if self.packet_sampler is None
+                  else seconds_to_ns(self.packet_sampler(dev)))
         tx = _Transmission(dev.idx, self.ap_of[dev.idx], now_ns,
                            now_ns + length)
         for other in self.active_tx:
@@ -328,41 +298,69 @@ class Simulation:
 
     # -- sleep-wake device ---------------------------------------------
 
-    def _schedule_wake(self, dev: _Device, from_ns: int) -> None:
-        # dev.effective_rate, inlined
-        delay = dev.stream.exponential(
-            dev.assigned_rate / dev.congestion_factor)
-        self.queue.schedule(from_ns + seconds_to_ns(delay), WAKE, dev.idx)
-
-    def _sleep_through_busy(self, dev: _Device, now_ns: int,
-                            busy_until: int) -> None:
-        """Aggregate every wake inside a known-busy window.
-
-        The device wakes, senses busy, sleeps, possibly several times; the
-        number of further wakes in the window is Poisson with mean
-        rate*window and each costs one sensing time of energy.  The first
-        wake after the window is a fresh exponential by memorylessness.
-        """
-        window_ns = busy_until - (now_ns + self.ts_ns)
-        extra = 0
-        if window_ns > 0:
-            extra = dev.stream.poisson(
-                dev.effective_rate * ns_to_seconds(window_ns))
-        anchor = max(busy_until, now_ns + self.ts_ns)
-        self._charge_radio(dev, anchor,
-                           (1 + extra) * self.params.sensing_time)
-        if dev.alive:
-            self._schedule_wake(dev, anchor)
-
     def _on_wake(self, event: Event) -> None:
+        """Transmit if the channel is sensed idle, else sleep through it.
+
+        A source is sensed once it has been on for the sensing time.  The
+        wakes in a busy window are aggregated (module docstring) and
+        charged at its end, the anchor, which the next wake is drawn from.
+        Inlined: ``_drain`` (a drain that does not kill leaves ``level >=
+        0``), ``_charge_radio`` and ``RandomStream.exponential``.
+        """
         dev, now_ns = self.devices[event.device], event.time
-        if not self._drain(dev, now_ns):
+        if not dev.alive:
             return
-        busy_until = self._sensed_busy_until(dev, now_ns)
-        if busy_until is not None:
-            self._sleep_through_busy(dev, now_ns, busy_until)
-        else:
+        if now_ns > dev.last_drain_ns:
+            drain = dev.drain_rate
+            level = dev.battery - drain * ((now_ns - dev.last_drain_ns)
+                                           / NS_PER_S)
+            if level <= 0.0 and drain > 0:
+                self._kill(dev, now_ns - seconds_to_ns(-level / drain))
+                return
+            cap = dev.profile.battery_capacity
+            dev.battery = level if level <= cap else cap
+            dev.last_drain_ns = now_ns
+        heard = now_ns - self.ts_ns
+        anchor = now_ns  # becomes the latest end of a sensed source
+        senses = self.senses_device[dev.idx]
+        for tx in self.active_tx:
+            if tx.end > anchor and tx.start <= heard and senses[tx.device]:
+                anchor = tx.end
+        senses = self.senses_ap[dev.idx]
+        for ack in self.active_acks:
+            if (ack.end > anchor and ack.start <= heard and senses[ack.ap]
+                    and ack.device != dev.idx):
+                anchor = ack.end
+        if anchor == now_ns:
             self._begin_transmission(dev, now_ns)
+            return
+        rate = dev.assigned_rate / dev.congestion_factor
+        sensed_ns = now_ns + self.ts_ns
+        extra = 0
+        if anchor > sensed_ns:
+            extra = dev.stream.poisson(rate * ((anchor - sensed_ns)
+                                               / NS_PER_S))
+        else:
+            anchor = sensed_ns
+        drain = dev.drain_rate  # anchor > now_ns >= dev.last_drain_ns
+        level = dev.battery - drain * ((anchor - dev.last_drain_ns)
+                                       / NS_PER_S)
+        if level <= 0.0 and drain > 0:
+            self._kill(dev, anchor - seconds_to_ns(-level / drain))
+            return
+        cap = dev.profile.battery_capacity
+        dev.battery = level if level <= cap else cap
+        dev.last_drain_ns = anchor
+        on_seconds = (1 + extra) * self.params.sensing_time
+        dev.on_time_ns += floor(on_seconds * NS_PER_S + 0.5)
+        dev.battery -= dev.profile.radio_on_power * on_seconds
+        if dev.battery <= 0.0:
+            self._kill(dev, anchor)
+            return
+        if rate <= 0:
+            raise ValueError(f"rate must be > 0, got {rate}")
+        delay_ns = floor(-log(dev.stream.uniform()) / rate * NS_PER_S + 0.5)
+        self.queue.schedule(anchor + delay_ns, WAKE, dev.idx)
 
     def _on_tx_end(self, event: Event) -> None:
         dev, now_ns = self.devices[event.device], event.time
@@ -399,8 +397,10 @@ class Simulation:
             self._charge_radio(
                 dev, now_ns, ns_to_seconds(air_ns + self.ack_ns),
                 window_start_ns=tx.start)
-            # Even if _charge_radio killed dev: an over-count the digests pin.
-            dev.mark_rate(now_ns)
+            # dev.mark_rate, even after a death: an over-count goldens pin.
+            dev.rate_integral += (dev.assigned_rate / dev.congestion_factor
+                                  * ((now_ns - dev.rate_mark_ns) / NS_PER_S))
+            dev.rate_mark_ns = now_ns
             if success:
                 dev.congestion_factor = 1
             else:
@@ -408,11 +408,20 @@ class Simulation:
                     dev.congestion_factor * 2, MAX_CONGESTION_FACTOR)
             self._emit_trace(now_ns, "ack" if success else "timeout",
                              dev.idx, "F=", dev.congestion_factor)
-            if dev.alive:
-                self._schedule_wake(dev, now_ns)
+            if dev.alive:  # the next wake, as in _on_wake
+                rate = dev.assigned_rate / dev.congestion_factor
+                if rate <= 0:
+                    raise ValueError(f"rate must be > 0, got {rate}")
+                delay_ns = floor(-log(dev.stream.uniform()) / rate * NS_PER_S
+                                 + 0.5)
+                self.queue.schedule(now_ns + delay_ns, WAKE, dev.idx)
         else:
             self._drain(dev, now_ns)
-            self._dcf_redraw(dev, success)
+            if success:
+                dev.cw = self.dcf.cw_min
+            else:
+                dev.cw = min(2 * (dev.cw + 1) - 1, self.dcf.cw_max)
+            dev.residual_slots = dev.stream.integers(0, dev.cw)
             self._emit_trace(now_ns, "ack" if success else "timeout",
                              dev.idx, "cw=", dev.cw)
             if dev.alive:
@@ -444,13 +453,6 @@ class Simulation:
             other.residual_slots = max(0, other.residual_slots - consumed)
             other.backoff_end_ns = None
 
-    def _dcf_redraw(self, dev: _Device, success: bool) -> None:
-        if success:
-            dev.cw = self.dcf.cw_min
-        else:
-            dev.cw = min(2 * (dev.cw + 1) - 1, self.dcf.cw_max)
-        dev.residual_slots = dev.stream.integers(0, dev.cw)
-
     def _dcf_decide(self, dev: _Device, now_ns: int) -> None:
         if dev.busy_horizon_ns > now_ns:  # wait for the channel to clear
             dev.backoff_end_ns = None
@@ -465,8 +467,18 @@ class Simulation:
     def _on_backoff_end(self, event: Event) -> None:
         """The channel cleared or the countdown ran out: re-decide or send."""
         dev, now_ns = self.devices[event.device], event.time
-        if not self._drain(dev, now_ns):
+        if not dev.alive:
             return
+        if now_ns > dev.last_drain_ns:  # self._drain, inlined
+            drain = dev.drain_rate
+            level = dev.battery - drain * ((now_ns - dev.last_drain_ns)
+                                           / NS_PER_S)
+            if level <= 0.0 and drain > 0:
+                self._kill(dev, now_ns - seconds_to_ns(-level / drain))
+                return
+            cap = dev.profile.battery_capacity  # level >= 0, as in _on_wake
+            dev.battery = level if level <= cap else cap
+            dev.last_drain_ns = now_ns
         if dev.backoff_end_ns is None:
             self._dcf_decide(dev, now_ns)
             return
@@ -507,11 +519,11 @@ class Simulation:
         alive = [d for d in self.devices if d.alive]
         if not alive:
             return
-        draws = {d.idx: d.stream.exponential(d.effective_rate) for d in alive}
-        first = min(draws.values())
-        first_ns = seconds_to_ns(first)
-        transmitters = [d for d in alive
-                        if seconds_to_ns(draws[d.idx]) < first_ns + self.ts_ns]
+        wakes = [seconds_to_ns(d.stream.exponential(
+            d.assigned_rate / d.congestion_factor)) for d in alive]
+        first_ns = min(wakes)
+        heard_ns = first_ns + self.ts_ns
+        transmitters = [d for d, w in zip(alive, wakes) if w < heard_ns]
         success = len(transmitters) == 1
         busy_ns = self.packet_ns + self.ack_ns
         boundary = now_ns + first_ns + busy_ns
@@ -528,16 +540,15 @@ class Simulation:
             self._charge_radio(d, boundary,
                                ns_to_seconds(busy_ns),
                                window_start_ns=now_ns + first_ns)
-        for d in alive:
-            if d in transmitters or not d.alive:
+        for d, wake_ns in zip(alive, wakes):  # the others, all alive
+            if wake_ns < heard_ns:
                 continue
-            wake_ns = seconds_to_ns(draws[d.idx])
             if wake_ns >= first_ns + busy_ns:
                 self._drain(d, boundary)
                 continue
             window = (first_ns + busy_ns) - wake_ns
             extra = d.stream.poisson(
-                d.effective_rate * ns_to_seconds(window))
+                d.assigned_rate / d.congestion_factor * ns_to_seconds(window))
             self._charge_radio(d, boundary,
                                (1 + extra) * self.params.sensing_time)
         if boundary < self.duration_ns and any(d.alive for d in self.devices):
@@ -559,8 +570,9 @@ class Simulation:
             self.queue.schedule(0, CYCLE_START)
         else:
             for dev in self.devices:
-                if dev.mac == LIFEADD:
-                    self._schedule_wake(dev, 0)
+                if dev.mac == LIFEADD:  # congestion factor 1
+                    delay = dev.stream.exponential(dev.assigned_rate)
+                    self.queue.schedule(seconds_to_ns(delay), WAKE, dev.idx)
                 else:
                     dev.cw = self.dcf.cw_min
                     dev.residual_slots = dev.stream.integers(0, dev.cw)
@@ -623,7 +635,7 @@ class Simulation:
         net = (dev.profile.radio_on_power * on_fraction
                + dev.profile.base_power - dev.profile.recharge_rate)
         if net <= 0:
-            return math.inf
+            return inf
         return ns_to_seconds(self.duration_ns) + dev.battery / net
 
 
