@@ -106,10 +106,11 @@ def simulate_cycles(rates, params: ContentionParams, n_cycles: int,
             first[:] = residual[:, 0]
             for j in range(1, n):
                 np.minimum(first, residual[:, j], out=first)
+            window = first + ts
             # first + ts rounds to first when ts is below half an ulp of
             # it, and the first waker must still transmit
-            window = np.maximum(first + ts, np.nextafter(first, np.inf))
-            rows, cols = np.nonzero(residual < window[:, None])
+            np.nextafter(first, np.inf, out=window, where=window == first)
+            rows, cols = divmod(np.flatnonzero(residual < window[:, None]), n)
             del residual  # free the draw before the next block's
             success = np.bincount(rows, minlength=first.size) == 1
             won = success[rows]
