@@ -560,8 +560,19 @@ def mixed_packets(dev):
     return dev.stream.choice(PACKET_BYTES, [0.3, 0.7]) * 8.0 / dev.alpha
 
 
+def any_ap_macs(n_aps):
+    return st.lists(st.sampled_from(MACS), min_size=n_aps, max_size=n_aps)
+
+
 @st.composite
-def dcf_fields(draw):
+def field_arguments(draw, ap_macs, duration_s, dying_energy):
+    """``Simulation`` arguments for a random realistic field.
+
+    1-3 APs and 2-8 devices; each device runs its AP's MAC, from the list
+    ``ap_macs(n_aps)`` draws.  Some devices start with ``dying_energy``
+    joules, which they spend at 1.5 W on DCF and at least 0.5 W on
+    Life-Add.
+    """
     n_aps, n_devices = draw(st.integers(1, 3)), draw(st.integers(2, 8))
     point = st.lists(st.floats(0.0, 120.0), min_size=2, max_size=2)
     topo = build_topology(
@@ -569,20 +580,29 @@ def dcf_fields(draw):
         draw(st.lists(point, min_size=n_devices, max_size=n_devices)),
         Ranges(draw(st.floats(20.0, 150.0)), draw(st.floats(20.0, 150.0)),
                200.0))
-    ap_macs = draw(st.one_of(
-        st.just([DCF] * n_aps),
-        st.lists(st.sampled_from(MACS), min_size=n_aps, max_size=n_aps)))
-    macs = [ap_macs[ap] for ap in topo.associated_ap]
-    assume(DCF in macs)
-    # Some stations die inside the run (at 0.1 s on DCF).
-    dying = EnergyProfile(initial_energy=0.15, battery_capacity=0.15,
+    ap_mac = draw(ap_macs(n_aps))
+    dying = EnergyProfile(initial_energy=dying_energy,
+                          battery_capacity=dying_energy,
                           radio_on_power=1.0, base_power=0.5)
     profiles = [dying if short else big_profile() for short in draw(
         st.lists(st.booleans(), min_size=n_devices, max_size=n_devices))]
-    return HorizonChecked(
-        topo, profiles, [2.0] * n_devices, [11e6] * n_devices, macs, PARAMS,
-        0.2, draw(st.integers(0, 2**32)), mode="realistic",
+    return dict(
+        topology=topo, profiles=profiles, efficiencies=[2.0] * n_devices,
+        alphas=[11e6] * n_devices,
+        macs=[ap_mac[ap] for ap in topo.associated_ap], params=PARAMS,
+        duration_s=duration_s, seed=draw(st.integers(0, 2**32)),
+        mode=REALISTIC,
         packet_sampler=draw(st.sampled_from([None, mixed_packets])))
+
+
+@st.composite
+def dcf_fields(draw):
+    # Half the fields are all DCF; stations short of energy die at 0.1 s.
+    arguments = draw(field_arguments(
+        lambda n_aps: st.one_of(st.just([DCF] * n_aps), any_ap_macs(n_aps)),
+        0.2, 0.15))
+    assume(DCF in arguments["macs"])
+    return HorizonChecked(**arguments)
 
 
 @settings(max_examples=60, deadline=None)
@@ -590,3 +610,29 @@ def dcf_fields(draw):
 def test_busy_horizon_equals_the_channel_scan(sim):
     checked_run(sim)
     assert sim.decisions > 0
+
+
+# -- the trace -----------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_arguments(any_ap_macs, 0.3, 0.1))
+def test_a_trace_never_changes_the_report_and_agrees_with_it(arguments):
+    untraced = emit_report(Simulation(**arguments).run(), "json")
+    trace = io.StringIO()
+    report = Simulation(**arguments, trace=trace).run()
+    assert emit_report(report, "json") == untraced
+    counts, deaths = Counter(), {}
+    for line in trace.getvalue().splitlines():
+        time_ns, kind, device, _ = line.split("\t")
+        counts[int(device), kind] += 1
+        if kind == "dead":
+            deaths[int(device)] = int(time_ns)
+    for d, row in enumerate(report.devices):
+        assert row.tx_success == counts[d, "ack"]
+        assert row.tx_collision == counts[d, "timeout"]
+        assert counts[d, "dead"] <= 1
+        if d in deaths:
+            assert row.lifetime_s == deaths[d] / 1e9
+        else:  # survived: extrapolated past the run
+            assert row.lifetime_s >= arguments["duration_s"]
