@@ -28,8 +28,8 @@ it, so none of them checks for a stale or superseded event.
 The topology's boolean matrices are copied once into nested Python lists,
 together with, for each device and each AP, the DCF stations that sense
 it; the per-event code indexes those rather than numpy.  Every channel
-reader skips sources with ``end <= now``, so the active transmission and
-ACK lists are pruned only when a source ends (``TX_END``, ``ACK_END``).
+reader skips sources with ``end <= now``, so the active transmission list
+is pruned only at a ``TX_END`` and the ACK list only at an ``ACK_END``.
 A DCF station, which hears a source from its first nanosecond, reads no
 list: ``busy_horizon_ns``, the latest end of any source it hears, rises
 where a source keys up.  Sources start only at the current event time and
@@ -225,7 +225,7 @@ class Simulation:
         """Charge radio-on energy accrued up to now (sleep-wake only)."""
         if not self._drain(dev, now_ns):
             return
-        dev.on_time_ns += seconds_to_ns(on_seconds)
+        dev.on_time_ns += floor(on_seconds * NS_PER_S + 0.5)
         dev.battery -= dev.profile.radio_on_power * on_seconds
         if dev.battery <= 0.0:
             # Died inside the charged window; place the death where the
@@ -262,7 +262,7 @@ class Simulation:
                 tx.ack_overlap = True
         self._interrupt_dcf_countdowns(
             now_ns, tx.end, self.dcf_sensing_device[dev.idx],
-            blind_ns=self.slot_ns if dev.mac == DCF else self.ts_ns)
+            self.slot_ns if dev.mac == DCF else self.ts_ns)
         self.active_tx.append(tx)
         dev.current_tx = tx
         self.queue.schedule(tx.end, TX_END, dev.idx)
@@ -291,10 +291,6 @@ class Simulation:
             if abs(other_start - tx.start) < window:
                 return False
         return not tx.ack_overlap
-
-    def _prune_channel(self, now_ns: int) -> None:
-        self.active_tx = [t for t in self.active_tx if t.end > now_ns]
-        self.active_acks = [a for a in self.active_acks if a.end > now_ns]
 
     # -- sleep-wake device ---------------------------------------------
 
@@ -377,7 +373,7 @@ class Simulation:
             self.queue.schedule(now_ns + self.ack_ns, ACK_END, dev.idx, tx.ap)
         else:
             self.queue.schedule(now_ns + self.ack_ns, TIMEOUT, dev.idx, tx.ap)
-        self._prune_channel(now_ns)
+        self.active_tx = [t for t in self.active_tx if t.end > now_ns]
         self._emit_trace(now_ns, "tx_end", dev.idx, "")
 
     def _on_attempt_done(self, event: Event) -> None:
@@ -388,14 +384,15 @@ class Simulation:
         air_ns = tx.end - tx.start
         success = tx.success
         if success:
-            self._prune_channel(now_ns)  # this attempt's ACK just ended
+            # This attempt's ACK just ended.
+            self.active_acks = [a for a in self.active_acks if a.end > now_ns]
             dev.tx_success += 1
             dev.success_air_ns += air_ns
         else:
             dev.tx_collision += 1
         if dev.mac == LIFEADD:
             self._charge_radio(
-                dev, now_ns, ns_to_seconds(air_ns + self.ack_ns),
+                dev, now_ns, (air_ns + self.ack_ns) / NS_PER_S,
                 window_start_ns=tx.start)
             # dev.mark_rate, even after a death: an over-count goldens pin.
             dev.rate_integral += (dev.assigned_rate / dev.congestion_factor
@@ -519,8 +516,9 @@ class Simulation:
         alive = [d for d in self.devices if d.alive]
         if not alive:
             return
-        wakes = [seconds_to_ns(d.stream.exponential(
-            d.assigned_rate / d.congestion_factor)) for d in alive]
+        wakes = [floor(d.stream.exponential(
+            d.assigned_rate / d.congestion_factor) * NS_PER_S + 0.5)
+            for d in alive]  # seconds_to_ns, inlined
         first_ns = min(wakes)
         heard_ns = first_ns + self.ts_ns
         transmitters = [d for d, w in zip(alive, wakes) if w < heard_ns]
@@ -537,8 +535,7 @@ class Simulation:
                 d.tx_collision += 1
                 self._emit_trace(now_ns + first_ns, "tx_start", d.idx,
                                  "collision")
-            self._charge_radio(d, boundary,
-                               ns_to_seconds(busy_ns),
+            self._charge_radio(d, boundary, busy_ns / NS_PER_S,
                                window_start_ns=now_ns + first_ns)
         for d, wake_ns in zip(alive, wakes):  # the others, all alive
             if wake_ns < heard_ns:
@@ -548,7 +545,7 @@ class Simulation:
                 continue
             window = (first_ns + busy_ns) - wake_ns
             extra = d.stream.poisson(
-                d.assigned_rate / d.congestion_factor * ns_to_seconds(window))
+                d.assigned_rate / d.congestion_factor * (window / NS_PER_S))
             self._charge_radio(d, boundary,
                                (1 + extra) * self.params.sensing_time)
         if boundary < self.duration_ns and any(d.alive for d in self.devices):
