@@ -209,10 +209,12 @@ class Simulation:
         """Apply wall-clock drain since the last update; return dev.alive."""
         if not dev.alive or now_ns <= dev.last_drain_ns:
             return dev.alive
+        dt = (now_ns - dev.last_drain_ns) / NS_PER_S
         rate = dev.drain_rate
-        level = dev.battery - rate * ((now_ns - dev.last_drain_ns) / NS_PER_S)
+        level = dev.battery - rate * dt
         if level <= 0.0 and rate > 0:
-            self._kill(dev, now_ns - seconds_to_ns(-level / rate))
+            overshoot = -level
+            self._kill(dev, now_ns - seconds_to_ns(overshoot / rate))
             return False
         cap = dev.profile.battery_capacity
         dev.battery = (level if 0.0 <= level <= cap
@@ -233,8 +235,9 @@ class Simulation:
             total = (dev.profile.radio_on_power + dev.profile.base_power
                      - dev.profile.recharge_rate)
             if window_start_ns is not None and total > 0:
-                self._kill(dev, max(window_start_ns, now_ns - seconds_to_ns(
-                    -dev.battery / total)))
+                undershoot = -dev.battery
+                self._kill(dev, max(window_start_ns,
+                                    now_ns - seconds_to_ns(undershoot / total)))
             else:
                 self._kill(dev, now_ns)
 
