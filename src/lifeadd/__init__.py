@@ -27,7 +27,7 @@ from .formulas import (ContentionParams, RateVector, attempt_probability,
                        throughput)
 from .kernel import (CausalityViolation, Event, EventKind, EventQueue,
                      RandomStream)
-from .mac import DcfParams, run_config, select_rates
+from .mac import run_config, select_rates
 from .renewal import simulate_cycles, validate_against_formulas
 from .report import (AllZero, SimReport, emit_report, jain_index,
                      total_utility)

@@ -9,19 +9,17 @@ sequence is unique, so a comparison never reaches the event kind.
 A ``RandomStream`` draws its doubles in blocks from the same PCG64
 stream a scalar caller would use, and the values it returns are those
 scalar ``Generator`` calls return.  Two rules keep that exact.  A
-Poisson draw with a finite mean below 10, and a weighted choice, are
-numpy's own algorithms on the buffered doubles (the multiplication
-method; a search of the normalized cumulative weights), which numpy
-feeds the same ``next_double`` values.  Every other draw first rewinds
-the generator past the doubles not yet consumed (``PCG64.advance`` by
-minus their count), keeping PCG64's buffered 32-bit half, which
-``integers`` reads and ``advance`` clears.
+Poisson draw with a finite mean below 10 is numpy's own algorithm (the
+multiplication method) on the buffered doubles, which numpy feeds the
+same ``next_double`` values.  Every other draw first rewinds the
+generator past the doubles not yet consumed (``PCG64.advance`` by minus
+their count), keeping PCG64's buffered 32-bit half, which ``integers``
+reads and ``advance`` clears.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from enum import Enum
 from heapq import heappop, heappush
 from typing import NamedTuple
@@ -180,15 +178,3 @@ class RandomStream:
         """Uniform integer in [low, high]."""
         self._sync()
         return int(self._generator.integers(low, high + 1))
-
-    def choice(self, values, p) -> float:
-        """One of the numbers ``values``, drawn with probabilities ``p``.
-
-        ``Generator.choice(values, p=p)`` on the next double: the first
-        index whose normalized cumulative weight exceeds it.  ``p`` must
-        be valid weights; numpy's checks on it are not repeated.
-        """
-        cdf = np.cumsum(p)
-        cdf /= cdf[-1]
-        u = (self._doubles or self._refill()).pop()
-        return float(values[bisect_right(cdf.tolist(), u)])

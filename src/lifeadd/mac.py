@@ -21,6 +21,12 @@
   slotted binary exponential backoff.  These handlers never run in
   renewal mode.
 
+In both engines every packet lasts the contention packet time.  The DCF
+baseline uses fixed 802.11b timing: a ``SLOT_S`` of 20 us, a ``DIFS_S``
+of 50 us, and a contention window from ``CW_MIN`` = 31 doubling to
+``CW_MAX`` = 1023.  Each AP beacons the rate plan every
+``BEACON_PERIOD_S`` = 0.1 s.
+
 A device never has more than one device event (``WAKE``, ``BACKOFF_END``,
 ``TX_END``, ``ACK_END`` or ``TIMEOUT``) outstanding; the handlers rely on
 it, so none of them checks for a stale or superseded event.
@@ -67,6 +73,10 @@ from .topology import Topology
 
 MAX_CONGESTION_FACTOR = 32
 BEACON_PERIOD_S = 0.1
+SLOT_S = 20e-6
+DIFS_S = 50e-6
+CW_MIN = 31
+CW_MAX = 1023
 
 LIFEADD = "lifeadd"
 DCF = "dcf"
@@ -74,14 +84,6 @@ RENEWAL = "renewal"
 REALISTIC = "realistic"
 MACS = (LIFEADD, DCF)
 MODES = (RENEWAL, REALISTIC)
-
-
-@dataclass(frozen=True)
-class DcfParams:
-    slot_s: float = 20e-6
-    difs_s: float = 50e-6
-    cw_min: int = 31
-    cw_max: int = 1023
 
 
 @dataclass(slots=True)
@@ -157,24 +159,20 @@ class Simulation:
     def __init__(self, topology: Topology, profiles: list[EnergyProfile],
                  efficiencies, alphas, macs: list[str],
                  params: ContentionParams, duration_s: float, seed: int,
-                 mode: str = REALISTIC, dcf: DcfParams = DcfParams(),
-                 packet_sampler=None, beacon_period_s: float = BEACON_PERIOD_S,
-                 trace=None):
+                 mode: str = REALISTIC, trace=None):
         self.topology = topology
         self.params = params
         self.mode = mode
-        self.dcf = dcf
         self.seed = seed
         self.duration_ns = seconds_to_ns(duration_s)
-        self.packet_sampler = packet_sampler
-        self.beacon_period_ns = seconds_to_ns(beacon_period_s)
+        self.beacon_period_ns = seconds_to_ns(BEACON_PERIOD_S)
         self.trace = trace
 
         self.ts_ns = seconds_to_ns(params.sensing_time)
         self.packet_ns = seconds_to_ns(params.packet_time)
         self.ack_ns = seconds_to_ns(params.ack_time)
-        self.slot_ns = seconds_to_ns(self.dcf.slot_s)
-        self.difs_ns = seconds_to_ns(self.dcf.difs_s)
+        self.slot_ns = seconds_to_ns(SLOT_S)
+        self.difs_ns = seconds_to_ns(DIFS_S)
 
         self.queue = EventQueue()
         self.devices = [
@@ -252,10 +250,8 @@ class Simulation:
     # -- channel --------------------------------------------------------
 
     def _begin_transmission(self, dev: _Device, now_ns: int) -> None:
-        length = (self.packet_ns if self.packet_sampler is None
-                  else seconds_to_ns(self.packet_sampler(dev)))
         tx = _Transmission(dev.idx, self.ap_of[dev.idx], now_ns,
-                           now_ns + length)
+                           now_ns + self.packet_ns)
         for other in self.active_tx:
             if other.end > now_ns:
                 other.overlaps.append((dev.idx, now_ns))
@@ -373,9 +369,9 @@ class Simulation:
                     other.ack_overlap = True
             self._interrupt_dcf_countdowns(
                 now_ns, ack.end, self.dcf_sensing_ap[tx.ap], self.ts_ns, dev)
-            self.queue.schedule(now_ns + self.ack_ns, ACK_END, dev.idx, tx.ap)
+            self.queue.schedule(now_ns + self.ack_ns, ACK_END, dev.idx)
         else:
-            self.queue.schedule(now_ns + self.ack_ns, TIMEOUT, dev.idx, tx.ap)
+            self.queue.schedule(now_ns + self.ack_ns, TIMEOUT, dev.idx)
         self.active_tx = [t for t in self.active_tx if t.end > now_ns]
         self._emit_trace(now_ns, "tx_end", dev.idx, "")
 
@@ -418,9 +414,9 @@ class Simulation:
         else:
             self._drain(dev, now_ns)
             if success:
-                dev.cw = self.dcf.cw_min
+                dev.cw = CW_MIN
             else:
-                dev.cw = min(2 * (dev.cw + 1) - 1, self.dcf.cw_max)
+                dev.cw = min(2 * (dev.cw + 1) - 1, CW_MAX)
             dev.residual_slots = dev.stream.integers(0, dev.cw)
             self._emit_trace(now_ns, "ack" if success else "timeout",
                              dev.idx, "cw=", dev.cw)
@@ -458,8 +454,7 @@ class Simulation:
             dev.backoff_end_ns = None
             self.queue.schedule(dev.busy_horizon_ns, BACKOFF_END, dev.idx)
             return
-        wait_ns = seconds_to_ns(self.dcf.difs_s
-                                + dev.residual_slots * self.dcf.slot_s)
+        wait_ns = seconds_to_ns(DIFS_S + dev.residual_slots * SLOT_S)
         dev.countdown_start_ns = now_ns
         dev.backoff_end_ns = now_ns + wait_ns
         self.queue.schedule(dev.backoff_end_ns, BACKOFF_END, dev.idx)
@@ -574,7 +569,7 @@ class Simulation:
                     delay = dev.stream.exponential(dev.assigned_rate)
                     self.queue.schedule(seconds_to_ns(delay), WAKE, dev.idx)
                 else:
-                    dev.cw = self.dcf.cw_min
+                    dev.cw = CW_MIN
                     dev.residual_slots = dev.stream.integers(0, dev.cw)
                     self._dcf_decide(dev, 0)
             for ap in range(self.topology.n_aps):
@@ -695,9 +690,6 @@ def run_config(config, seed: int | None = None, mode: str | None = None,
         duration_s=config.duration_s,
         seed=config.seed if seed is None else seed,
         mode=mode or config.mode,
-        dcf=config.dcf,
-        packet_sampler=config.packet_sampler(),
-        beacon_period_s=config.beacon_period_s,
         trace=trace,
     ).run()
     ids = config.device_ids()

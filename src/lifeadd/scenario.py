@@ -1,9 +1,9 @@
 """Scenario files: strict-schema parsing and validation.
 
 A scenario is a JSON document describing the topology, the per-device
-energy profiles, MAC selection, contention timing, packet sizes and run
-controls.  Parsing is strict: unknown or repeated keys and type mismatches
-raise ParseError with the offending field path; semantic violations are
+energy profiles, MAC selection, contention timing and run controls.
+Parsing is strict: unknown or repeated keys and type mismatches raise
+ParseError with the offending field path; semantic violations are
 collected exhaustively into one ValidationError.
 
 Battery quantities accept joules directly or ``{"mah": x, "voltage": v}``
@@ -21,11 +21,11 @@ from .energy import (DEFAULT_BATTERY_VOLTAGE, EnergyProfile,
                      InfeasibleLifetime, energy_budget, joules_from_mah)
 from .formulas import ContentionParams
 from .kernel import NS_PER_S, seconds_to_ns
-from .mac import (BEACON_PERIOD_S, MACS, MODES, RENEWAL, DcfParams,
-                  renewal_violations)
+from .mac import MACS, MODES, RENEWAL, renewal_violations
 from .topology import Ranges, Topology, UnassociatedDevice, build_topology
 
 SEEDS = range(2**64)  # the seeds a scenario file or the command line may give
+CSV_BREAKING = ',"\r\n'  # no id may hold these: the CSV quotes nothing
 
 
 class ParseError(ValueError):
@@ -140,14 +140,6 @@ class DeviceConfig:
     alpha_bps: float
 
 
-@dataclass(frozen=True)
-class PacketDistribution:
-    """Empirical packet-size distribution in bytes."""
-
-    choices: tuple[float, ...]
-    weights: tuple[float, ...]
-
-
 @dataclass
 class ScenarioConfig:
     aps: list[ApConfig]
@@ -158,9 +150,6 @@ class ScenarioConfig:
     contention: ContentionParams
     duration_s: float
     seed: int
-    packet_bytes: float | PacketDistribution | None = None
-    dcf: DcfParams = DcfParams()
-    beacon_period_s: float = BEACON_PERIOD_S
     name: str = ""
     description: str = ""
 
@@ -189,26 +178,6 @@ class ScenarioConfig:
             return [override] * len(self.devices)
         return [self.aps[ap].mac or self.mac for ap in topology.associated_ap]
 
-    def packet_sampler(self):
-        """Per-packet airtime in seconds derived from packet_bytes, or None.
-
-        Airtime is bytes * 8 / alpha of the transmitting device; a
-        distribution draws from the device's own random stream.
-        """
-        pb = self.packet_bytes
-        if pb is None:
-            return None
-        if isinstance(pb, PacketDistribution):
-            import numpy as np
-            choices = np.asarray(pb.choices)
-            weights = np.asarray(pb.weights) / sum(pb.weights)
-
-            def sampler(dev):
-                size = dev.stream.choice(choices, weights)
-                return size * 8.0 / dev.alpha
-            return sampler
-        return lambda dev: pb * 8.0 / dev.alpha
-
 
 def parse_scenario(path: str | Path) -> ScenarioConfig:
     """Load, strictly parse, and validate a scenario file."""
@@ -226,9 +195,8 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
 def _build_config(raw) -> ScenarioConfig:
     _require(raw, "scenario", {
         "aps": True, "devices": True, "ranges": True, "mac": True,
-        "mode": True, "contention": True, "traffic": False,
-        "duration_s": True, "seed": True, "dcf": False,
-        "beacon_period_s": False, "name": False, "description": False,
+        "mode": True, "contention": True, "duration_s": True, "seed": True,
+        "name": False, "description": False,
     })
     violations: list[str] = []
 
@@ -266,24 +234,14 @@ def _build_config(raw) -> ScenarioConfig:
         violations.append(f"contention: {exc}")
         contention = ContentionParams(4e-6, 9e-4, 1e-4)
 
-    packet_bytes = _parse_traffic(raw.get("traffic", {}), violations)
-
     mac = _string(raw["mac"], "mac")
     mode = _string(raw["mode"], "mode")
-    dcf = raw.get("dcf", {})
-    _require(dcf, "dcf", {"slot_s": False, "difs_s": False,
-                          "cw_min": False, "cw_max": False})
 
     config = ScenarioConfig(
         aps=aps, devices=devices, ranges=ranges, mac=mac, mode=mode,
         contention=contention,
         duration_s=_seconds(raw["duration_s"], "duration_s"),
-        seed=_integer(raw["seed"], "seed"), packet_bytes=packet_bytes,
-        dcf=DcfParams(**{k: _seconds(v, f"dcf.{k}") if k.endswith("_s")
-                         else _integer(v, f"dcf.{k}")
-                         for k, v in dcf.items()}),
-        beacon_period_s=_seconds(raw.get("beacon_period_s", BEACON_PERIOD_S),
-                                 "beacon_period_s"),
+        seed=_integer(raw["seed"], "seed"),
         name=_string(raw.get("name", ""), "name"),
         description=_string(raw.get("description", ""), "description"),
     )
@@ -332,41 +290,12 @@ def _parse_device(raw, path: str, violations: list[str]) -> DeviceConfig:
                         _number(raw["alpha_bps"], path + ".alpha_bps"))
 
 
-def _parse_traffic(raw, violations: list[str]
-                   ) -> float | PacketDistribution | None:
-    """The optional traffic section's packet_bytes."""
-    _require(raw, "traffic", {"packet_bytes": False})
-    pb = raw.get("packet_bytes")
-    packet_bytes: float | PacketDistribution | None = None
-    if isinstance(pb, dict):
-        _require(pb, "traffic.packet_bytes", {"choices": True,
-                                              "weights": True})
-        choices, weights = (
-            tuple(_number(x, f"traffic.packet_bytes.{key}[]")
-                  for x in _list(pb[key], f"traffic.packet_bytes.{key}"))
-            for key in ("choices", "weights"))
-        if len(choices) != len(weights) or not choices:
-            violations.append(
-                "traffic.packet_bytes: choices and weights must be "
-                "non-empty and the same length")
-        if any(c <= 0 for c in choices) or any(w <= 0 for w in weights):
-            violations.append("traffic.packet_bytes: values must be > 0")
-        packet_bytes = PacketDistribution(choices, weights)
-    elif pb is not None:
-        packet_bytes = _number(pb, "traffic.packet_bytes")
-        if packet_bytes <= 0:
-            violations.append("traffic.packet_bytes must be > 0")
-    return packet_bytes
-
-
 def _validate(config: ScenarioConfig, violations: list[str]) -> None:
-    # A zero-length run divides by zero; a zero beacon period never ends.
+    # A zero-length run divides by zero.
     if seconds_to_ns(config.duration_s) < 1:
         violations.append("duration_s must be at least 1 ns")
     if config.seed not in SEEDS:
         violations.append("seed must fit in 64 bits")
-    if seconds_to_ns(config.beacon_period_s) < 1:
-        violations.append("beacon_period_s must be at least 1 ns")
     if not config.aps:
         violations.append("at least one AP is required")
     if not config.devices:
@@ -378,35 +307,21 @@ def _validate(config: ScenarioConfig, violations: list[str]) -> None:
     for ap in config.aps:
         if ap.mac is not None and ap.mac not in MACS:
             violations.append(f"ap {ap.id}: mac must be one of {MACS}")
-    dcf = config.dcf
-    if seconds_to_ns(dcf.slot_s) < 1:  # the countdown divides by it
-        violations.append("dcf.slot_s must be at least 1 ns")
-    if dcf.difs_s < 0:
-        violations.append("dcf.difs_s must be >= 0")
-    if not 0 <= dcf.cw_min <= dcf.cw_max:
-        violations.append(
-            f"dcf: need 0 <= cw_min <= cw_max, got cw_min={dcf.cw_min} "
-            f"and cw_max={dcf.cw_max}")
-    if dcf.cw_max >= 2**63:  # the backoff draw is a 64-bit integer
-        violations.append("dcf.cw_max must be below 2**63")
 
-    ids = [a.id for a in config.aps]
-    if len(set(ids)) != len(ids):
-        violations.append("duplicate AP id")
-    ids = [d.id for d in config.devices]
-    if len(set(ids)) != len(ids):
-        violations.append("duplicate device id")
+    for key, items, what in (("aps", config.aps, "AP"),
+                             ("devices", config.devices, "device")):
+        ids = [item.id for item in items]
+        if len(set(ids)) != len(ids):
+            violations.append(f"duplicate {what} id")
+        for i, item_id in enumerate(ids):
+            if any(c in item_id for c in CSV_BREAKING):
+                violations.append(
+                    f"{key}[{i}].id: {item_id!r} holds a comma, a quote, CR "
+                    "or LF, which would break the CSV report")
 
-    pb = config.packet_bytes
-    largest = max(pb.choices if isinstance(pb, PacketDistribution)
-                  else (pb or 0.0,), default=0.0)
     for d in config.devices:
         if d.alpha_bps <= 0:
             violations.append(f"device {d.id}: alpha_bps must be > 0")
-        elif largest * 8.0 / d.alpha_bps > config.duration_s:
-            # One packet's airtime, bytes * 8 / alpha, must fit in the run.
-            violations.append(f"traffic.packet_bytes: a {largest:g}-byte "
-                              f"packet on device {d.id} outlasts duration_s")
         try:
             budget = energy_budget(d.energy)
             if budget.efficiency <= 1e-12:

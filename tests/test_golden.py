@@ -5,9 +5,9 @@ output byte fails here.  Covered: ``solve`` for every checked-in
 scenario, ``simulate`` JSON and CSV for every scenario in its own mode
 and with ``--mac lifeadd`` and ``--mac dcf`` (renewal scenarios run DCF
 in realistic mode), one trace with battery deaths and beacon recomputes,
-the renewal (``CYCLE_START``) engine's trace, a packet-size distribution, ``gap-sweep`` with the oracle and
-``validate`` at a reduced cycle count, plus one ``validate`` of 400,001
-cycles: three Monte-Carlo chunks, the last of a single row.
+the renewal (``CYCLE_START``) engine's trace, ``gap-sweep`` with the
+oracle and ``validate`` at a reduced cycle count, plus one ``validate`` of
+400,001 cycles: three Monte-Carlo chunks, the last of a single row.
 
 The 30-device runs are cut to 2 s simulated; ``single_ap_lifetime`` keeps
 its full 130 s so that three deaths and their beacon recomputes are
@@ -35,7 +35,7 @@ import pytest
 from lifeadd.cli import main as cli_main
 from lifeadd.mac import run_config
 from lifeadd.report import emit_report
-from lifeadd.scenario import PacketDistribution, parse_scenario
+from lifeadd.scenario import parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).with_name("golden_digests.json")
@@ -43,8 +43,6 @@ SCENARIOS = ("coexistence_4ap", "heterogeneous_trio", "multi_ap_4x30",
              "near_far_pair", "single_ap_lifetime", "single_ap_validation")
 FIELD_DURATION_S = 2.0
 DEATH_DURATION_S = 16.0
-PACKET_MIX = PacketDistribution(choices=(500.0, 1125.0, 1500.0),
-                                weights=(1.0, 2.0, 1.0))
 
 
 def _scenario(name: str) -> str:
@@ -61,22 +59,18 @@ def _config(name: str, duration_s: float | None = None):
 
 
 def _simulate_cases() -> dict:
-    """Case id -> (scenario, mac override, mode override, packet mix,
-    duration override)."""
+    """Case id -> (scenario, mac override, mode override, duration
+    override)."""
     cases = {}
     for name in SCENARIOS:
         renewal = parse_scenario(_scenario(name)).mode == "renewal"
-        cases[f"{name}-own"] = (name, None, None, None, None)
-        cases[f"{name}-lifeadd"] = (name, "lifeadd", None, None, None)
+        cases[f"{name}-own"] = (name, None, None, None)
+        cases[f"{name}-lifeadd"] = (name, "lifeadd", None, None)
         cases[f"{name}-dcf"] = (name, "dcf",
-                                "realistic" if renewal else None, None, None)
-    cases["near_far_pair-mix-own"] = ("near_far_pair", None, None, PACKET_MIX,
-                                      None)
-    cases["near_far_pair-mix-dcf"] = ("near_far_pair", "dcf", None,
-                                      PACKET_MIX, None)
-    cases["multi_ap_4x30-dcf-16s"] = ("multi_ap_4x30", "dcf", None, None,
+                                "realistic" if renewal else None, None)
+    cases["multi_ap_4x30-dcf-16s"] = ("multi_ap_4x30", "dcf", None,
                                       DEATH_DURATION_S)
-    cases["coexistence_4ap-own-16s"] = ("coexistence_4ap", None, None, None,
+    cases["coexistence_4ap-own-16s"] = ("coexistence_4ap", None, None,
                                         DEATH_DURATION_S)
     return cases
 
@@ -106,10 +100,8 @@ def _cli(*argv) -> bytes:
 
 
 def simulate_outputs(case: str) -> dict[str, bytes]:
-    name, mac, mode, mix, duration_s = SIMULATE[case]
+    name, mac, mode, duration_s = SIMULATE[case]
     config = _config(name, duration_s)
-    if mix is not None:
-        config = dataclasses.replace(config, packet_bytes=mix)
     trace = io.StringIO() if case in TRACED else None
     report = run_config(config, mode=mode, mac_override=mac, trace=trace)
     outputs = {f"simulate/{case}/json": emit_report(report, "json"),

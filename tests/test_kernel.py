@@ -150,15 +150,7 @@ DRAWS = st.one_of(
               st.sampled_from([1e-300, BELOW_TEN, 10.0, 250.0])
               | st.floats(0.0, 10.0, exclude_min=True, exclude_max=True)),
     st.tuples(st.just("integers"), st.integers(0, 1023)),
-    st.tuples(st.just("choice"),
-              st.lists(st.floats(0.01, 100.0), min_size=1, max_size=6)),
 )
-
-
-def _packet_mix(weights):
-    """Sizes and normalized weights, as the scenario's packet sampler."""
-    return (200.0 + 100.0 * np.arange(len(weights)),
-            np.asarray(weights) / sum(weights))
 
 
 def _stream_draw(stream, kind, arg):
@@ -168,9 +160,7 @@ def _stream_draw(stream, kind, arg):
         return stream.exponential(arg)
     if kind == "poisson":
         return stream.poisson(arg)
-    if kind == "integers":
-        return stream.integers(0, arg)
-    return stream.choice(*_packet_mix(arg))
+    return stream.integers(0, arg)
 
 
 def _scalar_draw(generator, kind, arg):
@@ -181,10 +171,7 @@ def _scalar_draw(generator, kind, arg):
         return -math.log(1.0 - generator.random()) / arg
     if kind == "poisson":
         return int(generator.poisson(arg))
-    if kind == "integers":
-        return int(generator.integers(0, arg + 1))
-    sizes, weights = _packet_mix(arg)
-    return float(generator.choice(sizes, p=weights))
+    return int(generator.integers(0, arg + 1))
 
 
 @settings(max_examples=200, deadline=None)

@@ -397,16 +397,6 @@ def test_mixed_macs_coexist_in_one_run():
             assert d.assigned_rate_hz > 0
 
 
-def test_packet_length_distribution_runs_deterministically():
-    cfg = parse_scenario("scenarios/near_far_pair.json")
-    import lifeadd.scenario as sc
-    dist = sc.PacketDistribution(choices=(400.0, 1500.0), weights=(0.5, 0.5))
-    cfg = dataclasses.replace(cfg, packet_bytes=dist, duration_s=5.0)
-    a = emit_report(run_config(cfg, seed=3, mac_override=LIFEADD), "json")
-    b = emit_report(run_config(cfg, seed=3, mac_override=LIFEADD), "json")
-    assert a == b
-
-
 def test_trace_format_is_tab_separated():
     trace = io.StringIO()
     run_simple(2, mode="realistic", duration=1.0, trace=trace)
@@ -491,8 +481,7 @@ def scenario_simulation(name, duration_s, mac=None):
     topo = cfg.build_topology()
     return Simulation(topo, cfg.profiles(), cfg.efficiencies(), cfg.alphas(),
                       cfg.device_macs(topo, mac), cfg.contention, duration_s,
-                      cfg.seed, mode="realistic",
-                      beacon_period_s=cfg.beacon_period_s)
+                      cfg.seed, mode="realistic")
 
 
 @pytest.mark.parametrize("name, mac", [("multi_ap_4x30", "lifeadd"),
@@ -553,13 +542,6 @@ class HorizonChecked(Simulation):
         super()._dcf_decide(dev, now_ns)
 
 
-PACKET_BYTES = np.array([400.0, 1500.0])
-
-
-def mixed_packets(dev):
-    return dev.stream.choice(PACKET_BYTES, [0.3, 0.7]) * 8.0 / dev.alpha
-
-
 def any_ap_macs(n_aps):
     return st.lists(st.sampled_from(MACS), min_size=n_aps, max_size=n_aps)
 
@@ -591,8 +573,7 @@ def field_arguments(draw, ap_macs, duration_s, dying_energy):
         alphas=[11e6] * n_devices,
         macs=[ap_mac[ap] for ap in topo.associated_ap], params=PARAMS,
         duration_s=duration_s, seed=draw(st.integers(0, 2**32)),
-        mode=REALISTIC,
-        packet_sampler=draw(st.sampled_from([None, mixed_packets])))
+        mode=REALISTIC)
 
 
 @st.composite

@@ -86,14 +86,8 @@ def test_duplicate_device_id_rejected(tmp_path):
     ("ranges", ["sensing", "interference", "communication"],
      "ranges: expected an object"),
     ("contention", 5, "contention: expected an object"),
-    ("dcf", 5, "dcf: expected an object"),
-    ("traffic", 5, "traffic: expected an object"),
     ("aps.0", 5, "aps[0]: expected an object"),
     ("devices.0.energy", 5, "devices[0].energy: expected an object"),
-    ("traffic.packet_bytes", {"choices": 5, "weights": [1.0]},
-     "traffic.packet_bytes.choices: expected a list"),
-    ("traffic.packet_bytes", {"choices": [1.0], "weights": 5},
-     "traffic.packet_bytes.weights: expected a list"),
 ])
 def test_wrongly_shaped_section_names_its_path(tmp_path, field, value,
                                                message):
@@ -123,11 +117,14 @@ def test_repeated_key_rejected(tmp_path):
 @pytest.mark.parametrize("field, message", [
     ("field_size", "scenario: unknown key(s) ['field_size']"),
     ("aps.0.wall_powered", "aps[0]: unknown key(s) ['wall_powered']"),
-    ("traffic.saturated", "traffic: unknown key(s) ['saturated']"),
+    ("traffic", "scenario: unknown key(s) ['traffic']"),
+    ("dcf", "scenario: unknown key(s) ['dcf']"),
+    ("beacon_period_s", "scenario: unknown key(s) ['beacon_period_s']"),
 ])
 def test_dropped_keys_rejected_by_name(tmp_path, field, message):
     # Scenario files once carried these; the model assumes APs on wall
-    # power and saturated traffic, and nothing read the field size.
+    # power and saturated traffic of one packet time, nothing read the
+    # field size, and the DCF timing and beacon period are constants.
     payload = json.loads(json.dumps(BASE))
     put(payload, field, True)
     with pytest.raises(ParseError, match=re.escape(message)):
@@ -203,36 +200,6 @@ def test_renewal_ignores_dcf_ap_that_serves_no_device(tmp_path):
     assert config.device_macs(config.build_topology()) == ["lifeadd"]
 
 
-def test_packet_distribution_validation(tmp_path):
-    payload = json.loads(json.dumps(BASE))
-    payload["traffic"] = {"packet_bytes": {"choices": [100.0, 1500.0],
-                                           "weights": [0.5]}}
-    with pytest.raises(ValidationError, match="same length"):
-        parse_scenario(write(tmp_path, payload))
-    payload["traffic"]["packet_bytes"] = {"choices": [100.0, -5.0],
-                                          "weights": [0.5, 0.5]}
-    with pytest.raises(ValidationError, match="> 0"):
-        parse_scenario(write(tmp_path, payload))
-
-
-def test_packet_longer_than_the_run_is_rejected(tmp_path):
-    payload = json.loads(json.dumps(BASE))
-    payload["traffic"] = {"packet_bytes": 1e300}
-    with pytest.raises(ValidationError, match="traffic.packet_bytes"):
-        parse_scenario(write(tmp_path, payload))
-    # 11 Mb/s for 10 s is 13.75e6 bytes: the largest packet that fits.
-    payload["traffic"]["packet_bytes"] = 13.75e6
-    assert parse_scenario(write(tmp_path, payload)).packet_bytes == 13.75e6
-
-
-def test_packet_distribution_longer_than_the_run_is_rejected(tmp_path):
-    payload = json.loads(json.dumps(BASE))
-    payload["traffic"] = {"packet_bytes": {"choices": [1500.0, 1e300],
-                                           "weights": [0.5, 0.5]}}
-    with pytest.raises(ValidationError, match="traffic.packet_bytes"):
-        parse_scenario(write(tmp_path, payload))
-
-
 def test_device_macs_follow_ap_overrides(tmp_path):
     payload = json.loads(json.dumps(BASE))
     payload["aps"].append({"id": "ap1", "position": [40.0, 40.0],
@@ -273,7 +240,7 @@ def test_non_finite_values_rejected(tmp_path, field):
     elif field == "range":
         payload["ranges"]["sensing"] = slot
     else:
-        payload["beacon_period_s"] = slot
+        payload["duration_s"] = slot
     text = json.dumps(payload)
     for token in NON_FINITE:
         path = tmp_path / "scenario.json"
@@ -282,7 +249,7 @@ def test_non_finite_values_rejected(tmp_path, field):
             parse_scenario(path)
 
 
-@pytest.mark.parametrize("field", ["duration_s", "beacon_period_s"])
+@pytest.mark.parametrize("field", ["duration_s"])
 @pytest.mark.parametrize("value", [0.0, 1e-12])
 def test_run_timing_below_one_nanosecond_rejected(tmp_path, field, value):
     payload = json.loads(json.dumps(BASE))
@@ -304,23 +271,8 @@ def test_contention_timing_below_one_nanosecond_rejected(tmp_path, field):
         parse_scenario(write(tmp_path, payload))
 
 
-@pytest.mark.parametrize("dcf, message", [
-    ({"slot_s": 0.0}, "dcf.slot_s must be at least 1 ns"),
-    ({"slot_s": 1e-10}, "dcf.slot_s must be at least 1 ns"),
-    ({"difs_s": -1.0}, "dcf.difs_s must be >= 0"),
-    ({"cw_min": -5}, "0 <= cw_min <= cw_max"),
-    ({"cw_min": 64, "cw_max": 15}, "0 <= cw_min <= cw_max"),
-])
-def test_dcf_block_rejects_meaningless_values(tmp_path, dcf, message):
-    payload = json.loads(json.dumps(BASE))
-    payload["dcf"] = dcf
-    with pytest.raises(ValidationError, match=message):
-        parse_scenario(write(tmp_path, payload))
-
-
-@pytest.mark.parametrize("field", ["duration_s", "beacon_period_s",
-                                   "contention.packet_time_s",
-                                   "dcf.difs_s"])
+@pytest.mark.parametrize("field", ["duration_s",
+                                   "contention.packet_time_s"])
 def test_timing_beyond_the_nanosecond_clock_rejected(tmp_path, field):
     payload = json.loads(json.dumps(BASE))
     block, _, key = field.rpartition(".")
@@ -329,31 +281,19 @@ def test_timing_beyond_the_nanosecond_clock_rejected(tmp_path, field):
         parse_scenario(write(tmp_path, payload))
 
 
-def near_far_dcf(tmp_path, cw):
-    """A copy of near_far_pair on DCF, 0.1 s long, with cw_min = cw_max."""
-    with open("scenarios/near_far_pair.json") as f:
-        payload = json.load(f)
-    payload.update(mac="dcf", duration_s=0.1,
-                   dcf={"cw_min": cw, "cw_max": cw})
-    return write(tmp_path, payload)
-
-
-@pytest.mark.parametrize("cw", [10**30, 2**63])
-def test_backoff_window_beyond_int64_rejected(tmp_path, capsys, cw):
-    path = near_far_dcf(tmp_path, cw)
-    with pytest.raises(ValidationError, match=r"dcf\.cw_max must be below"):
+@pytest.mark.parametrize("field, value", [
+    ("aps.0.id", "ap,0"), ("devices.0.id", "far,1"), ("devices.0.id", 'd"0'),
+    ("devices.0.id", "d\r0"), ("devices.0.id", "d\n0")])
+def test_id_that_would_break_the_csv_report_rejected(tmp_path, capsys, field,
+                                                     value):
+    # emit_csv quotes nothing: a comma would add a column, a newline a row.
+    payload = json.loads(json.dumps(BASE))
+    put(payload, field, value)
+    path = write(tmp_path, payload)
+    where = field.replace(".0.", "[0].")
+    with pytest.raises(ValidationError, match=re.escape(where)):
         parse_scenario(path)
-    code = main(["simulate", "--scenario", str(path)])
+    code = main(["simulate", "--scenario", str(path), "--format", "csv"])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    error = json.loads(err)["error"]
-    assert error["type"] == "invalid_input"
-    assert "dcf.cw_max" in error["message"]
-
-
-def test_largest_int64_backoff_window_runs(tmp_path, capsys):
-    code = main(["simulate", "--scenario",
-                 str(near_far_dcf(tmp_path, 2**63 - 1))])
-    out, _ = capsys.readouterr()
-    assert code == 0
-    assert [d["mac"] for d in json.loads(out)["devices"]] == ["dcf", "dcf"]
+    assert where in json.loads(err)["error"]["message"]
