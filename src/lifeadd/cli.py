@@ -32,9 +32,7 @@ EXIT_CHECK_FAILED = 3
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_INVALID):
-        super().__init__(message)
-        self.code = code
+    """Invalid input; ``main`` exits with ``EXIT_INVALID``."""
 
 
 def _fail(kind: str, message: str, code: int) -> int:
@@ -380,7 +378,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CliError as exc:
-        return _fail("invalid_input", str(exc), exc.code)
+        return _fail("invalid_input", str(exc), EXIT_INVALID)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         return _fail(type(exc).__name__, str(exc), EXIT_INVALID)
 

@@ -33,14 +33,16 @@ it, so none of them checks for a stale or superseded event.
 
 The topology's boolean matrices are copied once into nested Python lists,
 together with, for each device and each AP, the DCF stations that sense
-it; the per-event code indexes those rather than numpy.  Every channel
-reader skips sources with ``end <= now``, so the active transmission list
-is pruned only at a ``TX_END`` and the ACK list only at an ``ACK_END``.
-A DCF station, which hears a source from its first nanosecond, reads no
-list: ``busy_horizon_ns``, the latest end of any source it hears, rises
-where a source keys up.  Sources start only at the current event time and
-never end early, so its channel is busy until the horizon if that is later
-than now, and idle otherwise.  The rule holds only for DCF readers.
+it; the per-event code indexes those rather than numpy.  What is on the
+air is one list, ``on_air``, of one record per attempt: it joins at
+key-up and leaves at its own ``ACK_END`` or ``TIMEOUT``, and readers tell
+its data (``start``..``end``) from its ACK (``end``..``ack_end``, set by
+a successful ``TX_END``) by time.  A DCF station, which hears a source
+from its first nanosecond, reads no list: ``busy_horizon_ns``, the
+latest end of any source it hears, rises where a source keys up.
+Sources start only at the current event time and never end early, so its
+channel is busy until the horizon if that is later than now, and idle
+otherwise.  The rule holds only for DCF readers.
 
 Per-wake sensing inside a known-busy window is aggregated into one Poisson
 draw for the wake count (each wake costs one sensing time of energy); the
@@ -57,7 +59,7 @@ from __future__ import annotations
 from math import floor, inf, log
 from dataclasses import dataclass, field
 
-from .energy import EnergyProfile
+from .energy import EnergyProfile, energy_budget
 from .formulas import ContentionParams
 from .kernel import (NS_PER_S, PRNG_ID, Event, EventKind, EventQueue,
                      RandomStream, ns_to_seconds, seconds_to_ns)
@@ -86,25 +88,17 @@ MACS = (LIFEADD, DCF)
 MODES = (RENEWAL, REALISTIC)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)  # on_air.remove matches by identity
 class _Transmission:
     device: int
     ap: int
     start: int
     end: int
-    # (other_device, other_start) for every transmission overlapping this
-    # one; populated when either transmission starts.
-    overlaps: list[tuple[int, int]] = field(default_factory=list)
+    # Every transmission overlapping this one; populated when either starts.
+    overlaps: list[_Transmission] = field(default_factory=list)
     ack_overlap: bool = False   # own AP transmitted an ACK over this
     success: bool = False       # decided when the transmission ends
-
-
-@dataclass(slots=True)
-class _Ack:
-    ap: int
-    device: int
-    start: int
-    end: int
+    ack_end: int = 0            # end of its ACK; 0 until a success
 
 
 class _Device:
@@ -142,7 +136,6 @@ class _Device:
         self.on_time_ns = 0         # radio on, sleep-wake only
         self.tx_success = 0
         self.tx_collision = 0
-        self.success_air_ns = 0
         self.rate_integral = 0.0    # integral of effective rate over time
         self.rate_mark_ns = 0
 
@@ -157,7 +150,7 @@ class Simulation:
     """One deterministic run; usually driven via run_config()."""
 
     def __init__(self, topology: Topology, profiles: list[EnergyProfile],
-                 efficiencies, alphas, macs: list[str],
+                 alphas, macs: list[str],
                  params: ContentionParams, duration_s: float, seed: int,
                  mode: str = REALISTIC, trace=None):
         self.topology = topology
@@ -171,17 +164,18 @@ class Simulation:
         self.ts_ns = seconds_to_ns(params.sensing_time)
         self.packet_ns = seconds_to_ns(params.packet_time)
         self.ack_ns = seconds_to_ns(params.ack_time)
+        self.busy_ns = self.packet_ns + self.ack_ns  # one attempt's airtime
         self.slot_ns = seconds_to_ns(SLOT_S)
         self.difs_ns = seconds_to_ns(DIFS_S)
 
         self.queue = EventQueue()
         self.devices = [
-            _Device(i, macs[i], profiles[i], float(efficiencies[i]),
-                    float(alphas[i]), RandomStream(seed, i))
+            _Device(i, macs[i], profiles[i],
+                    energy_budget(profiles[i]).efficiency, float(alphas[i]),
+                    RandomStream(seed, i))
             for i in range(topology.n_devices)
         ]
-        self.active_tx: list[_Transmission] = []
-        self.active_acks: list[_Ack] = []
+        self.on_air: list[_Transmission] = []
         self.membership_dirty = False
 
         self.senses_device = topology.device_senses_device.tolist()
@@ -252,17 +246,16 @@ class Simulation:
     def _begin_transmission(self, dev: _Device, now_ns: int) -> None:
         tx = _Transmission(dev.idx, self.ap_of[dev.idx], now_ns,
                            now_ns + self.packet_ns)
-        for other in self.active_tx:
+        for other in self.on_air:
             if other.end > now_ns:
-                other.overlaps.append((dev.idx, now_ns))
-                tx.overlaps.append((other.device, other.start))
-        for ack in self.active_acks:
-            if ack.ap == tx.ap and ack.end > now_ns:
+                other.overlaps.append(tx)
+                tx.overlaps.append(other)
+            elif other.ap == tx.ap and other.ack_end > now_ns:
                 tx.ack_overlap = True
         self._interrupt_dcf_countdowns(
             now_ns, tx.end, self.dcf_sensing_device[dev.idx],
             self.slot_ns if dev.mac == DCF else self.ts_ns)
-        self.active_tx.append(tx)
+        self.on_air.append(tx)
         dev.current_tx = tx
         self.queue.schedule(tx.end, TX_END, dev.idx)
         self._emit_trace(now_ns, "tx_start", dev.idx, "ap=", tx.ap)
@@ -279,15 +272,15 @@ class Simulation:
         dev = self.devices[tx.device]
         interferes = self.interferes_at
         senses = self.senses_device[tx.device]
-        for other_dev, other_start in tx.overlaps:
-            if not interferes[other_dev][tx.ap]:
+        for other in tx.overlaps:
+            if not interferes[other.device][tx.ap]:
                 continue
-            if not senses[other_dev]:
+            if not senses[other.device]:
                 return False  # hidden terminal
             window = (self.slot_ns if dev.mac == DCF
-                      and self.devices[other_dev].mac == DCF
+                      and self.devices[other.device].mac == DCF
                       else self.ts_ns)
-            if abs(other_start - tx.start) < window:
+            if abs(other.start - tx.start) < window:
                 return False
         return not tx.ack_overlap
 
@@ -296,7 +289,9 @@ class Simulation:
     def _on_wake(self, event: Event) -> None:
         """Transmit if the channel is sensed idle, else sleep through it.
 
-        A source is sensed once it has been on for the sensing time.  The
+        A source is sensed once it has been on for the sensing time: a
+        data frame through ``senses_device``, an ACK through ``senses_ap``
+        (never the device's own: it has no ``WAKE`` outstanding then).  The
         wakes in a busy window are aggregated (module docstring) and
         charged at its end, the anchor, which the next wake is drawn from.
         Inlined: ``_drain`` (a drain that does not kill leaves ``level >=
@@ -318,14 +313,12 @@ class Simulation:
         heard = now_ns - self.ts_ns
         anchor = now_ns  # becomes the latest end of a sensed source
         senses = self.senses_device[dev.idx]
-        for tx in self.active_tx:
+        senses_ap = self.senses_ap[dev.idx]
+        for tx in self.on_air:
             if tx.end > anchor and tx.start <= heard and senses[tx.device]:
                 anchor = tx.end
-        senses = self.senses_ap[dev.idx]
-        for ack in self.active_acks:
-            if (ack.end > anchor and ack.start <= heard and senses[ack.ap]
-                    and ack.device != dev.idx):
-                anchor = ack.end
+            elif tx.ack_end > anchor and tx.end <= heard and senses_ap[tx.ap]:
+                anchor = tx.ack_end
         if anchor == now_ns:
             self._begin_transmission(dev, now_ns)
             return
@@ -362,17 +355,15 @@ class Simulation:
         tx = dev.current_tx
         tx.success = self._evaluate_transmission(tx)
         if tx.success:
-            ack = _Ack(tx.ap, dev.idx, now_ns, now_ns + self.ack_ns)
-            self.active_acks.append(ack)
-            for other in self.active_tx:
-                if other is not tx and other.ap == tx.ap and other.end > now_ns:
+            tx.ack_end = now_ns + self.ack_ns
+            for other in self.on_air:
+                if other.ap == tx.ap and other.end > now_ns:
                     other.ack_overlap = True
             self._interrupt_dcf_countdowns(
-                now_ns, ack.end, self.dcf_sensing_ap[tx.ap], self.ts_ns, dev)
-            self.queue.schedule(now_ns + self.ack_ns, ACK_END, dev.idx)
-        else:
-            self.queue.schedule(now_ns + self.ack_ns, TIMEOUT, dev.idx)
-        self.active_tx = [t for t in self.active_tx if t.end > now_ns]
+                now_ns, tx.ack_end, self.dcf_sensing_ap[tx.ap], self.ts_ns,
+                dev)
+        self.queue.schedule(now_ns + self.ack_ns,
+                            ACK_END if tx.success else TIMEOUT, dev.idx)
         self._emit_trace(now_ns, "tx_end", dev.idx, "")
 
     def _on_attempt_done(self, event: Event) -> None:
@@ -380,19 +371,16 @@ class Simulation:
         dev, now_ns = self.devices[event.device], event.time
         tx = dev.current_tx
         dev.current_tx = None
-        air_ns = tx.end - tx.start
+        self.on_air.remove(tx)
+        tx.overlaps.clear()  # so that refcounting frees overlapping records
         success = tx.success
         if success:
-            # This attempt's ACK just ended.
-            self.active_acks = [a for a in self.active_acks if a.end > now_ns]
             dev.tx_success += 1
-            dev.success_air_ns += air_ns
         else:
             dev.tx_collision += 1
         if dev.mac == LIFEADD:
-            self._charge_radio(
-                dev, now_ns, (air_ns + self.ack_ns) / NS_PER_S,
-                window_start_ns=tx.start)
+            self._charge_radio(dev, now_ns, self.busy_ns / NS_PER_S,
+                               window_start_ns=tx.start)
             # dev.mark_rate, even after a death: an over-count goldens pin.
             dev.rate_integral += (dev.assigned_rate / dev.congestion_factor
                                   * ((now_ns - dev.rate_mark_ns) / NS_PER_S))
@@ -521,13 +509,12 @@ class Simulation:
         heard_ns = first_ns + self.ts_ns
         transmitters = [d for d, w in zip(alive, wakes) if w < heard_ns]
         success = len(transmitters) == 1
-        busy_ns = self.packet_ns + self.ack_ns
+        busy_ns = self.busy_ns
         boundary = now_ns + first_ns + busy_ns
 
         for d in transmitters:
             if success:
                 d.tx_success += 1
-                d.success_air_ns += self.packet_ns
                 self._emit_trace(now_ns + first_ns, "tx_start", d.idx, "ok")
             else:
                 d.tx_collision += 1
@@ -610,8 +597,8 @@ class Simulation:
             rows.append(DeviceMetrics(
                 device_id=str(dev.idx),
                 mac=dev.mac,
-                throughput_bps=dev.alpha * ns_to_seconds(dev.success_air_ns)
-                / duration_s,
+                throughput_bps=dev.alpha * ns_to_seconds(
+                    dev.tx_success * self.packet_ns) / duration_s,
                 radio_on_fraction=on_fraction,
                 lifetime_s=lifetime,
                 tx_success=dev.tx_success,
@@ -683,7 +670,6 @@ def run_config(config, seed: int | None = None, mode: str | None = None,
     report = Simulation(
         topology=topology,
         profiles=config.profiles(),
-        efficiencies=config.efficiencies(),
         alphas=config.alphas(),
         macs=config.device_macs(topology, mac_override),
         params=config.contention,

@@ -214,7 +214,7 @@ def _build_config(raw) -> ScenarioConfig:
         ranges = Ranges(*radii)
     except ValueError as exc:
         violations.append(f"ranges: {exc}")
-        ranges = Ranges(1.0, 1.0, 1.0)
+        ranges = None  # no topology to check
 
     cont_raw = raw["contention"]
     _require(cont_raw, "contention", {"sensing_time_s": True,
@@ -332,7 +332,7 @@ def _validate(config: ScenarioConfig, violations: list[str]) -> None:
         except InfeasibleLifetime as exc:
             violations.append(f"device {d.id}: {exc}")
 
-    if config.aps and config.devices:
+    if config.aps and config.devices and config.ranges is not None:
         try:
             topo = config.build_topology()
         except UnassociatedDevice as exc:

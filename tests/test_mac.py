@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import io
 import math
 from collections import Counter
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lifeadd.mac
-from lifeadd.energy import EnergyProfile
+from lifeadd.energy import EnergyProfile, energy_budget
 from lifeadd.formulas import ContentionParams, success_time_fraction
 from lifeadd.kernel import EventKind, EventQueue
 from lifeadd.mac import (DCF, LIFEADD, MACS, REALISTIC, Simulation,
@@ -36,12 +37,11 @@ def single_ap_topology(n):
 
 
 def run_simple(n, macs=None, mode="renewal", duration=30.0, seed=3,
-               efficiencies=None, profiles=None, trace=None):
+               profiles=None, trace=None):
     topo = single_ap_topology(n)
     return Simulation(
-        topo, profiles or [big_profile()] * n,
-        efficiencies if efficiencies is not None else [2.0] * n,
-        [11e6] * n, macs or ["lifeadd"] * n, PARAMS, duration, seed,
+        topo, profiles or [big_profile()] * n, [11e6] * n,
+        macs or ["lifeadd"] * n, PARAMS, duration, seed,
         mode=mode, trace=trace).run()
 
 
@@ -170,7 +170,7 @@ def test_renewal_mode_requires_mutual_sensing():
                           Ranges(sensing=50.0, interference=200.0,
                                  communication=200.0))
     with pytest.raises(ValueError, match="within sensing range"):
-        Simulation(topo, [big_profile()] * 2, [2.0, 2.0], [1.0, 1.0],
+        Simulation(topo, [big_profile()] * 2, [1.0, 1.0],
                    ["lifeadd"] * 2, PARAMS, 1.0, 1, mode="renewal")
 
 
@@ -214,12 +214,21 @@ def test_dead_devices_never_transmit():
     assert last_tx_ns <= death_ns
 
 
+def budget_profile(budget):
+    """``big_profile`` with the lifetime target that leaves ``budget``."""
+    p = big_profile()
+    allowed = budget * p.radio_on_power + p.base_power - p.recharge_rate
+    return dataclasses.replace(p, target_lifetime=p.initial_energy / allowed)
+
+
 def test_radio_on_fraction_respects_budget_envelope():
     # budgets below 1 keep the measured on-fraction within 0.02 of the
     # budget over a 100 s window
     budgets = [0.3, 0.45, 0.8]
-    rep = run_simple(3, mode="realistic", duration=100.0,
-                     efficiencies=budgets)
+    profiles = [budget_profile(b) for b in budgets]
+    assert [energy_budget(p).efficiency for p in profiles] == pytest.approx(
+        budgets)
+    rep = run_simple(3, mode="realistic", duration=100.0, profiles=profiles)
     for budget, row in zip(budgets, rep.devices):
         assert row.radio_on_fraction <= budget + 0.02
         assert row.radio_on_fraction > 0.05
@@ -259,7 +268,7 @@ def test_beacon_recompute_after_death_raises_survivor_rate():
     topo = single_ap_topology(2)
     dying = EnergyProfile(initial_energy=1.5, battery_capacity=1.5,
                           radio_on_power=1.0, base_power=0.5)
-    sim = Simulation(topo, [dying, big_profile()], [2.0, 2.0], [1.0, 1.0],
+    sim = Simulation(topo, [dying, big_profile()], [1.0, 1.0],
                      ["lifeadd", "lifeadd"], PARAMS, 8.0, 5,
                      mode="realistic")
     sim.run()
@@ -299,7 +308,7 @@ def test_dcf_lifetime_below_lifeadd_on_identical_scenario():
 
 def dcf_pair():
     """Two mutually sensing DCF stations, driven by hand (no run())."""
-    sim = Simulation(single_ap_topology(2), [big_profile()] * 2, [2.0] * 2,
+    sim = Simulation(single_ap_topology(2), [big_profile()] * 2,
                      [11e6] * 2, ["dcf"] * 2, PARAMS, 1.0, 3,
                      mode="realistic")
     assert sim.dcf_sensing_device[1] == [sim.devices[0]]
@@ -366,6 +375,87 @@ def test_dcf_interrupted_station_re_decides_at_its_old_end_time():
     assert [(e.kind, e.device, e.time) for e in pending] == [
         (EventKind.TX_END, sender.idx, busy_until),
         (EventKind.BACKOFF_END, waiting.idx, busy_until)]
+
+
+# -- the ACK phase ------------------------------------------------------------
+
+
+def lifeadd_pair_in_ack():
+    """Two mutually sensing Life-Add devices, driven by hand: A has sent
+    alone and its AP's ACK has just begun."""
+    sim = Simulation(single_ap_topology(2), [big_profile()] * 2,
+                     [11e6] * 2, ["lifeadd"] * 2, PARAMS, 1.0, 3,
+                     mode="realistic")
+    a, b = sim.devices
+    a.assigned_rate = b.assigned_rate = 100.0
+    sim._begin_transmission(a, 0)
+    tx = a.current_tx
+    event = sim.queue.next()
+    assert (event.kind, event.device, event.time) == (
+        EventKind.TX_END, a.idx, tx.end)
+    sim._on_tx_end(event)
+    assert tx.success and tx.ack_end == tx.end + sim.ack_ns
+    assert sim.on_air == [tx]
+    return sim, a, b, tx
+
+
+def finish_ack(sim, a, tx):
+    """Run A's ACK_END and check that A's record left the air."""
+    event = sim.queue.next()
+    assert (event.kind, event.device, event.time) == (
+        EventKind.ACK_END, a.idx, tx.ack_end)
+    sim._on_attempt_done(event)
+    assert all(other is not tx for other in sim.on_air)
+    assert a.tx_success == 1
+
+
+def test_wake_inside_an_ack_sleeps_to_its_end():
+    sim, a, b, tx = lifeadd_pair_in_ack()
+    sim.queue.schedule(tx.end + sim.ts_ns, EventKind.WAKE, b.idx)
+    sim._on_wake(sim.queue.next())
+    assert b.current_tx is None
+    assert b.last_drain_ns == tx.ack_end  # charged at the ACK's end
+    finish_ack(sim, a, tx)
+    assert sim.on_air == []
+    pending = [sim.queue.next() for _ in range(len(sim.queue))]
+    assert sorted((e.device, e.kind) for e in pending) == [
+        (a.idx, EventKind.WAKE), (b.idx, EventKind.WAKE)]
+    assert all(e.time >= tx.ack_end for e in pending)
+
+
+def test_key_up_during_an_ack_fails():
+    sim, a, b, tx = lifeadd_pair_in_ack()
+    # B wakes before it can hear the ACK, so it keys up into it.
+    sim.queue.schedule(tx.end + sim.ts_ns - 1, EventKind.WAKE, b.idx)
+    sim._on_wake(sim.queue.next())
+    late = b.current_tx
+    assert late.ack_overlap and late.overlaps == [] and tx.overlaps == []
+    finish_ack(sim, a, tx)
+    assert sim.on_air == [late]
+    event = sim.queue.next()
+    if event.device == a.idx:  # A's next wake may come first
+        event = sim.queue.next()
+    assert (event.kind, event.device, event.time) == (
+        EventKind.TX_END, b.idx, late.end)
+    sim._on_tx_end(event)
+    assert not late.success and late.ack_end == 0
+
+
+def test_records_off_the_air_are_freed_without_the_cycle_collector():
+    # Overlapping records refer to each other; leaving the air unlinks them.
+    sim = scenario_simulation("multi_ap_4x30", 0.5, "lifeadd")
+    gc.collect()
+    gc.disable()
+    try:
+        sim.run()
+        records = [o for o in gc.get_objects()
+                   if isinstance(o, lifeadd.mac._Transmission)]
+    finally:
+        gc.enable()
+    assert sum(d.tx_collision for d in sim.devices) > 0
+    # Alive: the records on the air at the end and those they overlap.
+    assert {id(r) for r in records} == {
+        id(r) for tx in sim.on_air for r in [tx, *tx.overlaps]}
 
 
 def test_near_far_fairness_ordering():
@@ -479,7 +569,7 @@ def checked_run(sim):
 def scenario_simulation(name, duration_s, mac=None):
     cfg = parse_scenario(f"scenarios/{name}.json")
     topo = cfg.build_topology()
-    return Simulation(topo, cfg.profiles(), cfg.efficiencies(), cfg.alphas(),
+    return Simulation(topo, cfg.profiles(), cfg.alphas(),
                       cfg.device_macs(topo, mac), cfg.contention, duration_s,
                       cfg.seed, mode="realistic")
 
@@ -499,7 +589,7 @@ def test_one_device_event_outstanding_through_deaths():
                           radio_on_power=1.0, base_power=0.5)
     macs = ["lifeadd", "dcf", "lifeadd", "dcf"]
     profiles = [dying, dying] + [big_profile()] * 2
-    sim = Simulation(single_ap_topology(4), profiles, [2.0] * 4, [11e6] * 4,
+    sim = Simulation(single_ap_topology(4), profiles, [11e6] * 4,
                      macs, PARAMS, 5.0, 3, mode="realistic")
     rep = checked_run(sim)
     assert [d.alive for d in sim.devices] == [False, False, True, True]
@@ -513,15 +603,13 @@ def scanned_busy_until(sim, dev, now_ns):
     """The DCF channel reader the busy horizon replaced: a scan of every
     active source the station senses, of any age, but its own ACK."""
     busy_until = None
-    senses = sim.senses_device[dev.idx]
-    for tx in sim.active_tx:
-        if tx.end > now_ns and tx.start <= now_ns and senses[tx.device]:
+    senses, senses_ap = sim.senses_device[dev.idx], sim.senses_ap[dev.idx]
+    for tx in sim.on_air:
+        if tx.start <= now_ns < tx.end and senses[tx.device]:
             busy_until = max(busy_until or 0, tx.end)
-    senses = sim.senses_ap[dev.idx]
-    for ack in sim.active_acks:
-        if (ack.end > now_ns and ack.start <= now_ns and senses[ack.ap]
-                and ack.device != dev.idx):
-            busy_until = max(busy_until or 0, ack.end)
+        if (tx.end <= now_ns < tx.ack_end and senses_ap[tx.ap]
+                and tx.device != dev.idx):
+            busy_until = max(busy_until or 0, tx.ack_end)
     return busy_until
 
 
@@ -569,8 +657,7 @@ def field_arguments(draw, ap_macs, duration_s, dying_energy):
     profiles = [dying if short else big_profile() for short in draw(
         st.lists(st.booleans(), min_size=n_devices, max_size=n_devices))]
     return dict(
-        topology=topo, profiles=profiles, efficiencies=[2.0] * n_devices,
-        alphas=[11e6] * n_devices,
+        topology=topo, profiles=profiles, alphas=[11e6] * n_devices,
         macs=[ap_mac[ap] for ap in topo.associated_ap], params=PARAMS,
         duration_s=duration_s, seed=draw(st.integers(0, 2**32)),
         mode=REALISTIC)

@@ -176,6 +176,19 @@ def test_all_violations_reported_together(tmp_path):
     assert len(err.value.violations) >= 3
 
 
+@pytest.mark.parametrize("key, value", [("sensing", 0.0),
+                                        ("interference", 0.0),
+                                        ("communication", -5.0)])
+def test_invalid_ranges_are_the_only_violation(tmp_path, key, value):
+    # No stand-in range block: one would also report devices out of reach.
+    with open("scenarios/near_far_pair.json") as f:
+        payload = json.load(f)
+    payload["ranges"][key] = value
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(write(tmp_path, payload))
+    assert err.value.violations == [f"ranges: {key} range must be > 0"]
+
+
 def test_unreachable_device_rejected(tmp_path):
     payload = json.loads(json.dumps(BASE))
     payload["devices"][0]["position"] = [2000.0, 2000.0]
