@@ -105,7 +105,7 @@ def cmd_solve(args) -> int:
     device_block = []
     for d in range(len(ids)):
         home = int(topology.associated_ap[d])
-        domain = [int(x) for x in topology.devices_heard_by(home)]
+        domain = topology.devices_heard_by(home)
         domain_rates = np.array([rates[x] for x in domain])
         local = domain.index(d)
         device_block.append({

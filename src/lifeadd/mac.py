@@ -252,9 +252,10 @@ class Simulation:
                 tx.overlaps.append(other)
             elif other.ap == tx.ap and other.ack_end > now_ns:
                 tx.ack_overlap = True
-        self._interrupt_dcf_countdowns(
-            now_ns, tx.end, self.dcf_sensing_device[dev.idx],
-            self.slot_ns if dev.mac == DCF else self.ts_ns)
+        if listeners := self.dcf_sensing_device[dev.idx]:
+            self._interrupt_dcf_countdowns(
+                now_ns, tx.end, listeners,
+                self.slot_ns if dev.mac == DCF else self.ts_ns)
         self.on_air.append(tx)
         dev.current_tx = tx
         self.queue.schedule(tx.end, TX_END, dev.idx)
@@ -359,9 +360,9 @@ class Simulation:
             for other in self.on_air:
                 if other.ap == tx.ap and other.end > now_ns:
                     other.ack_overlap = True
-            self._interrupt_dcf_countdowns(
-                now_ns, tx.ack_end, self.dcf_sensing_ap[tx.ap], self.ts_ns,
-                dev)
+            if listeners := self.dcf_sensing_ap[tx.ap]:
+                self._interrupt_dcf_countdowns(
+                    now_ns, tx.ack_end, listeners, self.ts_ns, dev)
         self.queue.schedule(now_ns + self.ack_ns,
                             ACK_END if tx.success else TIMEOUT, dev.idx)
         self._emit_trace(now_ns, "tx_end", dev.idx, "")
@@ -650,7 +651,7 @@ def select_rates(topology: Topology, efficiencies, params: ContentionParams,
     rates: list[float | None] = [None] * topology.n_devices
     per_ap = []
     for ap in range(topology.n_aps):
-        members = [int(d) for d in topology.devices_heard_by(ap)
+        members = [d for d in topology.devices_heard_by(ap)
                    if include is None or include[d]]
         if not members:
             per_ap.append(None)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .energy import (DEFAULT_BATTERY_VOLTAGE, EnergyProfile,
@@ -40,12 +41,28 @@ class ValidationError(ValueError):
         super().__init__("; ".join(violations))
 
 
+# Each object's keys, mapped to whether the key is required.
+_SCENARIO_KEYS = {"aps": True, "devices": True, "ranges": True, "mac": True,
+                  "mode": True, "contention": True, "duration_s": True,
+                  "seed": True, "name": False, "description": False}
+_AP_KEYS = {"id": True, "position": True, "mac": False}
+_DEVICE_KEYS = {"id": True, "position": True, "energy": True,
+                "alpha_bps": True}
+_ENERGY_KEYS = {"initial_energy": True, "battery_capacity": True,
+                "radio_on_power_w": True, "base_power_w": True,
+                "recharge_rate_w": False, "target_lifetime_s": False}
+_MAH_KEYS = {"mah": True, "voltage": False}
+_RANGES_KEYS = {"sensing": True, "interference": True, "communication": True}
+_CONTENTION_KEYS = {"sensing_time_s": True, "packet_time_s": True,
+                    "ack_time_s": True}
+
+
 def _require(mapping, path: str, known: dict[str, bool]) -> None:
     """Reject a non-object, unknown keys and missing required ones."""
     if not isinstance(mapping, dict):
         raise ParseError(f"{path}: expected an object")
-    unknown = set(mapping) - set(known)
-    if unknown:
+    if not mapping.keys() <= known.keys():
+        unknown = mapping.keys() - known.keys()
         raise ParseError(f"{path}: unknown key(s) {sorted(unknown)}")
     for key, required in known.items():
         if required and key not in mapping:
@@ -53,6 +70,8 @@ def _require(mapping, path: str, known: dict[str, bool]) -> None:
 
 
 def _number(value, path: str) -> float:
+    if type(value) is float and math.isfinite(value):
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{path}: expected a number, got {value!r}")
     try:
@@ -113,7 +132,7 @@ def _position(value, path: str) -> tuple[float, float]:
 def _energy_amount(value, path: str) -> tuple[float, float | None]:
     """A battery quantity as (joules, None) or (mah, voltage)."""
     if isinstance(value, dict):
-        _require(value, path, {"mah": True, "voltage": False})
+        _require(value, path, _MAH_KEYS)
         voltage = _number(value.get("voltage", DEFAULT_BATTERY_VOLTAGE),
                           path + ".voltage")
         return _number(value["mah"], path + ".mah"), voltage
@@ -140,7 +159,7 @@ class DeviceConfig:
     alpha_bps: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     aps: list[ApConfig]
     devices: list[DeviceConfig]
@@ -162,12 +181,21 @@ class ScenarioConfig:
         return [d.energy for d in self.devices]
 
     def efficiencies(self) -> list[float]:
+        return list(self._efficiencies)
+
+    # Built on first use and kept; a ``dataclasses.replace`` copy builds anew.
+    @cached_property
+    def _efficiencies(self) -> list[float]:
         return [energy_budget(d.energy).efficiency for d in self.devices]
 
     def alphas(self) -> list[float]:
         return [d.alpha_bps for d in self.devices]
 
     def build_topology(self) -> Topology:
+        return self._topology
+
+    @cached_property
+    def _topology(self) -> Topology:
         return build_topology([a.position for a in self.aps],
                               [d.position for d in self.devices], self.ranges)
 
@@ -193,11 +221,7 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
 
 
 def _build_config(raw) -> ScenarioConfig:
-    _require(raw, "scenario", {
-        "aps": True, "devices": True, "ranges": True, "mac": True,
-        "mode": True, "contention": True, "duration_s": True, "seed": True,
-        "name": False, "description": False,
-    })
+    _require(raw, "scenario", _SCENARIO_KEYS)
     violations: list[str] = []
 
     aps = [_parse_ap(a, f"aps[{i}]") for i, a in
@@ -206,10 +230,8 @@ def _build_config(raw) -> ScenarioConfig:
                enumerate(_list(raw["devices"], "devices"))]
 
     ranges_raw = raw["ranges"]
-    _require(ranges_raw, "ranges", {"sensing": True, "interference": True,
-                                    "communication": True})
-    radii = [_number(ranges_raw[k], f"ranges.{k}")
-             for k in ("sensing", "interference", "communication")]
+    _require(ranges_raw, "ranges", _RANGES_KEYS)
+    radii = [_number(ranges_raw[k], f"ranges.{k}") for k in _RANGES_KEYS]
     try:
         ranges = Ranges(*radii)
     except ValueError as exc:
@@ -217,11 +239,9 @@ def _build_config(raw) -> ScenarioConfig:
         ranges = None  # no topology to check
 
     cont_raw = raw["contention"]
-    _require(cont_raw, "contention", {"sensing_time_s": True,
-                                      "packet_time_s": True,
-                                      "ack_time_s": True})
+    _require(cont_raw, "contention", _CONTENTION_KEYS)
     timings = [_seconds(cont_raw[k], f"contention.{k}")
-               for k in ("sensing_time_s", "packet_time_s", "ack_time_s")]
+               for k in _CONTENTION_KEYS]
     try:
         contention = ContentionParams(*timings)
         # The DES rounds both to whole ns: in a 0 ns window no device
@@ -252,7 +272,7 @@ def _build_config(raw) -> ScenarioConfig:
 
 
 def _parse_ap(raw, path: str) -> ApConfig:
-    _require(raw, path, {"id": True, "position": True, "mac": False})
+    _require(raw, path, _AP_KEYS)
     mac = raw.get("mac")
     if mac is not None:
         mac = _string(mac, path + ".mac")
@@ -261,14 +281,9 @@ def _parse_ap(raw, path: str) -> ApConfig:
 
 
 def _parse_device(raw, path: str, violations: list[str]) -> DeviceConfig:
-    _require(raw, path, {"id": True, "position": True, "energy": True,
-                         "alpha_bps": True})
+    _require(raw, path, _DEVICE_KEYS)
     energy_raw = raw["energy"]
-    _require(energy_raw, path + ".energy", {
-        "initial_energy": True, "battery_capacity": True,
-        "radio_on_power_w": True, "base_power_w": True,
-        "recharge_rate_w": False, "target_lifetime_s": False,
-    })
+    _require(energy_raw, path + ".energy", _ENERGY_KEYS)
     target = energy_raw.get("target_lifetime_s")
     if target is not None:
         target = _number(target, path + ".energy.target_lifetime_s")

@@ -12,6 +12,7 @@ Positions are 2-D points in meters.  Three radii define the graphs:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,10 @@ class Ranges:
 
     def __post_init__(self) -> None:
         for name in ("sensing", "interference", "communication"):
-            if getattr(self, name) <= 0:
+            radius = getattr(self, name)
+            if not math.isfinite(radius):
+                raise ValueError(f"{name} range must be finite, got {radius}")
+            if radius <= 0:
                 raise ValueError(f"{name} range must be > 0")
 
 
@@ -47,6 +51,7 @@ class Topology:
             raise ValueError("at least one device is required")
 
         dev = self.device_positions
+        self.n_devices, self.n_aps = dev.shape[0], self.ap_positions.shape[0]
         dev_ap = _pairwise(dev, self.ap_positions)
         self.device_senses_device = _pairwise(dev, dev) <= ranges.sensing
         np.fill_diagonal(self.device_senses_device, False)
@@ -54,36 +59,25 @@ class Topology:
         self.interferes_at = dev_ap <= ranges.interference
         self.hears_ap = dev_ap <= ranges.communication
 
-        self.associated_ap = np.full(dev.shape[0], -1, dtype=int)
-        unreached = []
-        for d in range(dev.shape[0]):
-            in_range = np.flatnonzero(self.hears_ap[d])
-            if in_range.size == 0:
-                unreached.append(d)
-                continue
-            self.associated_ap[d] = in_range[np.argmin(dev_ap[d, in_range])]
+        unreached = np.flatnonzero(~self.hears_ap.any(axis=1)).tolist()
         if unreached:
             raise UnassociatedDevice(
                 f"devices {unreached} have no AP within communication range "
                 f"{ranges.communication} m")
+        # argmin takes the first of equal distances, the lowest AP index.
+        self.associated_ap = np.where(self.hears_ap, dev_ap,
+                                      np.inf).argmin(axis=1)
+        self._heard_by = [np.flatnonzero(column).tolist()
+                          for column in self.hears_ap.T]
+        # Every device senses every other one (the diagonal is False).
+        n = self.n_devices
+        self.single_collision_domain = bool(
+            np.count_nonzero(self.device_senses_device) == n * (n - 1))
 
-    @property
-    def n_devices(self) -> int:
-        return self.device_positions.shape[0]
-
-    @property
-    def n_aps(self) -> int:
-        return self.ap_positions.shape[0]
-
-    @property
-    def single_collision_domain(self) -> bool:
-        """True when every device senses every other one."""
-        off_diagonal = ~np.eye(self.n_devices, dtype=bool)
-        return bool(self.device_senses_device[off_diagonal].all())
-
-    def devices_heard_by(self, ap: int) -> np.ndarray:
-        """Devices within the AP's communication range, any association."""
-        return np.flatnonzero(self.hears_ap[:, ap])
+    def devices_heard_by(self, ap: int) -> list[int]:
+        """Devices within the AP's communication range, any association, in
+        index order; the list is shared, so callers must not change it."""
+        return self._heard_by[ap]
 
 
 def _pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:

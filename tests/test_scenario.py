@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import re
 
 import pytest
 
+import lifeadd.scenario
 from lifeadd.cli import main
 from lifeadd.energy import joules_from_mah
+from lifeadd.mac import run_config
 from lifeadd.scenario import (ParseError, ValidationError, parse_scenario)
 
 BASE = {
@@ -310,3 +313,55 @@ def test_id_that_would_break_the_csv_report_rejected(tmp_path, capsys, field,
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert where in json.loads(err)["error"]["message"]
+
+
+@pytest.fixture
+def topology_builds(monkeypatch):
+    """The calls of ``scenario.build_topology``, counted as they happen."""
+    calls = []
+    build = lifeadd.scenario.build_topology
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+    monkeypatch.setattr(lifeadd.scenario, "build_topology", counted)
+    return calls
+
+
+def test_a_scenario_builds_its_topology_once(tmp_path, capsys,
+                                             topology_builds):
+    payload = json.loads(json.dumps(BASE))
+    payload["duration_s"] = 1.0
+    path = write(tmp_path, payload)
+    config = parse_scenario(path)
+    run_config(config)
+    assert len(topology_builds) == 1  # the parser's, reused by the run
+    assert config.build_topology() is config.build_topology()
+    topology_builds.clear()
+    assert main(["simulate", "--scenario", str(path),
+                 "--replications", "3"]) == 0
+    capsys.readouterr()
+    assert len(topology_builds) == 1  # its own parse, then three runs
+
+
+def test_a_replaced_config_builds_its_own_topology(topology_builds):
+    config = parse_scenario("scenarios/near_far_pair.json")
+    copy = dataclasses.replace(config, seed=config.seed + 1)
+    assert copy.build_topology() is not config.build_topology()
+    assert copy.build_topology() is copy.build_topology()
+    assert len(topology_builds) == 2
+
+
+def test_scenario_config_is_frozen():
+    config = parse_scenario("scenarios/near_far_pair.json")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.seed = 2
+
+
+def test_efficiencies_are_a_fresh_list_each_call():
+    config = parse_scenario("scenarios/heterogeneous_trio.json")
+    first = config.efficiencies()
+    expected = list(first)
+    first[0] = -1.0
+    first.append(0.0)
+    assert config.efficiencies() == expected

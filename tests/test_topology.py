@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lifeadd.topology import (Ranges, UnassociatedDevice, build_topology)
 
@@ -51,7 +55,7 @@ def test_sensing_is_symmetric():
 
 
 def test_ranges_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"sensing range must be > 0"):
         Ranges(0.0, 10.0, 10.0)
     with pytest.raises(ValueError):
         build_topology([], [[0.0, 0.0]], Ranges(1.0, 1.0, 1.0))
@@ -64,3 +68,72 @@ def test_single_collision_domain():
                           ranges).single_collision_domain
     assert not build_topology([[0, 0]], [[0, 0], [5, 5], [20, 0]],
                               ranges).single_collision_domain
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_non_finite_radius_rejected(slot, value):
+    # A NaN sensing radius would make every neighbour a hidden terminal.
+    radii = [10.0, 10.0, 10.0]
+    radii[slot] = value
+    name = ("sensing", "interference", "communication")[slot]
+    with pytest.raises(ValueError, match=f"{name} range must be finite"):
+        Ranges(*radii)
+
+
+def span(p, q):
+    """Distance between two grid points (exact up to the one rounding)."""
+    return math.sqrt((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2)
+
+
+def scanned_relations(aps, devices, ranges):
+    """The per-device scan in AP order: association, unreached devices,
+    devices heard per AP and the one-collision-domain test."""
+    dist = [[span(dev, ap) for ap in aps] for dev in devices]
+    associated, unreached = [], []
+    for d, row in enumerate(dist):
+        in_range = [ap for ap in range(len(aps))
+                    if row[ap] <= ranges.communication]
+        if not in_range:
+            unreached.append(d)
+            continue
+        best = in_range[0]
+        for ap in in_range[1:]:
+            if row[ap] < row[best]:
+                best = ap
+        associated.append(best)
+    heard = [[d for d in range(len(devices))
+              if dist[d][ap] <= ranges.communication]
+             for ap in range(len(aps))]
+    single = all(span(a, b) <= ranges.sensing
+                 for i, a in enumerate(devices)
+                 for j, b in enumerate(devices) if i != j)
+    return associated, unreached, heard, single
+
+
+POINT = st.tuples(st.integers(0, 6), st.integers(0, 6))
+# Square roots of integers hit the grid's distances exactly.
+RADIUS = st.one_of(st.integers(1, 72).map(math.sqrt), st.floats(0.5, 10.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(POINT, min_size=1, max_size=4),
+       st.lists(POINT, min_size=1, max_size=8), RADIUS, RADIUS, RADIUS)
+def test_topology_relations_equal_the_per_device_scan(aps, devices, sensing,
+                                                      interference, comm):
+    ranges = Ranges(sensing, interference, comm)
+    associated, unreached, heard, single = scanned_relations(aps, devices,
+                                                             ranges)
+    if unreached:
+        with pytest.raises(UnassociatedDevice) as err:
+            build_topology(aps, devices, ranges)
+        assert str(err.value) == (
+            f"devices {unreached} have no AP within communication range "
+            f"{comm} m")
+        return
+    topo = build_topology(aps, devices, ranges)
+    assert topo.associated_ap.tolist() == associated
+    for ap in range(len(aps)):
+        assert topo.devices_heard_by(ap) == heard[ap]
+        assert all(type(d) is int for d in topo.devices_heard_by(ap))
+    assert topo.single_collision_domain is single
