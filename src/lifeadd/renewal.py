@@ -9,14 +9,19 @@ using the closed forms, so it serves as an independent check of them.
 Probabilities get binomial confidence bands; the time fractions are
 renewal-reward ratios and get delta-method bands.
 
-Cycles run in chunks of ``_CHUNK`` rows, each drawn in row blocks of
-``_BLOCK`` rows; a block's draw, row minimum, transmit cells, counts and
-rewards are done before the next is drawn, so only the chunk's (m,)
-cycle lengths outlive a block.  The block size moves no bits: split
+Cycles run in chunks of ``_CHUNK`` rows.  A chunk's cycle lengths are
+summed one leaf at a time: the chunk is halved by numpy's pairwise-sum
+rule (``half = m // 2`` less ``half % 8``) down to leaves of at most
+``_LEAF`` values, and the leaves' ``.sum()`` are added in tree order,
+which is numpy's ``0.0 + pairwise(x)`` bit for bit for non-negative
+terms.  numpy adds up to 128 values (its ``PW_BLOCKSIZE``) without
+halving them, so the leaf bound is at least 128.  The chunk size fixes
+the tree, so changing ``_CHUNK`` moves the ``mean_cycle`` bits.  Each
+leaf is drawn in blocks of at most ``_CELLS`` (cycle, device) cells,
+whose draw, row minimum, transmit cells, counts and rewards are done
+before the next is drawn.  The block size moves no bits: split
 ``standard_exponential`` draws concatenate to the single draw, and a row
-minimum is exact in any order.  The chunk size fixes the pairwise
-grouping of the cycle-length sums, so changing ``_CHUNK`` moves the
-``mean_cycle`` bits.
+minimum is exact in any order.
 
 Rewards are summed over the transmitting cells only, about one per cycle,
 with ``np.bincount``, and give the same bits as ``.sum(axis=0)`` of the
@@ -27,8 +32,8 @@ Each block's ``np.bincount`` takes the chunk's running per-device sums as
 its first ``n`` weights, so every bin adds the same terms in the same
 order as one call over the chunk (plain per-block sums added together
 would not).  A lone column is summed pairwise, so for one device each
-reward column is rebuilt over the whole chunk, from whether the device
-sent in each cycle, and summed as before.
+reward column is rebuilt leaf by leaf, from whether the device sent in
+each cycle, and summed in the tree of the cycle lengths.
 """
 
 from __future__ import annotations
@@ -42,8 +47,18 @@ from .formulas import (ContentionParams, _as_rates, attempt_probability,
                        success_time_fraction)
 
 _CHUNK = 200_000
-_BLOCK = 8_192  # rows drawn at once; any size gives the same bits
+_CELLS = 1 << 15  # (cycle, device) cells drawn at once; any size, same bits
+_LEAF = _CELLS    # cycle lengths summed at once; >= 128, numpy's PW_BLOCKSIZE
 N_SIGMA = 3.0   # a measured metric within this many sigmas passes
+
+
+def _pairwise(m: int, leaf_sum):
+    """Add ``leaf_sum(size)`` over numpy's pairwise-sum tree of m values."""
+    if m <= _LEAF:
+        return leaf_sum(m)
+    half = m // 2
+    half -= half % 8
+    return _pairwise(half, leaf_sum) + _pairwise(m - half, leaf_sum)
 
 
 @dataclass
@@ -88,19 +103,18 @@ def simulate_cycles(rates, params: ContentionParams, n_cycles: int,
     sum_c2 = 0.0
     reward_sums = np.zeros((6, n))
     lanes = np.arange(n)
-    # One buffer pair for all chunks, so no chunk's outlives the next's.
-    cycles = np.empty(min(n_cycles, _CHUNK))
+    block = max(1, _CELLS // n)  # rows drawn at once
+    # One leaf-sized buffer pair for every leaf of every chunk.
+    cycles = np.empty(min(n_cycles, _LEAF))
     transmitted = np.empty(cycles.size, dtype=bool)
 
-    remaining = n_cycles
-    while remaining > 0:
-        m = min(remaining, _CHUNK)
-        remaining -= m
-        cycle = cycles[:m]
-        sent = transmitted[:m]  # n = 1: the cycles it transmits in
-        chunk_sums = np.zeros((6, n))  # n >= 2: the running per-bin sums
-        for start in range(0, m, _BLOCK):
-            residual = rng.standard_exponential((min(_BLOCK, m - start), n))
+    def leaf_sums(size: int) -> np.ndarray:
+        """The next ``size`` cycles' sums of c, c**2 and n = 1 rewards."""
+        nonlocal collision_cycles, attempt_count, win_count
+        cycle = cycles[:size]
+        sent = transmitted[:size]  # n = 1: the cycles it transmits in
+        for start in range(0, size, block):
+            residual = rng.standard_exponential((min(block, size - start), n))
             residual /= r
             first = cycle[start:start + residual.shape[0]]
             first[:] = residual[:, 0]
@@ -132,14 +146,24 @@ def simulate_cycles(rates, params: ContentionParams, n_cycles: int,
                                        minlength=n)
 
         cycle += busy
-        if n == 1:  # a lone column is summed pairwise, so over the chunk
-            chunk_sums[:, 0] = [np.where(sent, t, 0.0).sum()
-                                for v in (packet, busy)
-                                for t in (v, v * v, v * cycle)]
-        reward_sums += chunk_sums
-        sum_c += cycle.sum()
+        # a lone column is summed pairwise, so leaf by leaf as the lengths
+        lone = [np.where(sent, t, 0.0).sum() for v in (packet, busy)
+                for t in (v, v * v, v * cycle)] if n == 1 else []
+        total = cycle.sum()
         cycle *= cycle
-        sum_c2 += cycle.sum()
+        return np.array([total, cycle.sum(), *lone])
+
+    remaining = n_cycles
+    while remaining > 0:
+        m = min(remaining, _CHUNK)
+        remaining -= m
+        chunk_sums = np.zeros((6, n))  # n >= 2: the running per-bin sums
+        sums = _pairwise(m, leaf_sums)
+        if n == 1:
+            chunk_sums[:, 0] = sums[2:]
+        reward_sums += chunk_sums
+        sum_c += sums[0]
+        sum_c2 += sums[1]
 
     m = float(n_cycles)
     win = win_count / m

@@ -183,7 +183,7 @@ class ScenarioConfig:
     def efficiencies(self) -> list[float]:
         return list(self._efficiencies)
 
-    # Built on first use and kept; a ``dataclasses.replace`` copy builds anew.
+    # Built by the parser or on first use; a ``replace`` copy builds anew.
     @cached_property
     def _efficiencies(self) -> list[float]:
         return [energy_budget(d.energy).efficiency for d in self.devices]
@@ -334,11 +334,13 @@ def _validate(config: ScenarioConfig, violations: list[str]) -> None:
                     f"{key}[{i}].id: {item_id!r} holds a comma, a quote, CR "
                     "or LF, which would break the CSV report")
 
+    efficiencies = []
     for d in config.devices:
         if d.alpha_bps <= 0:
             violations.append(f"device {d.id}: alpha_bps must be > 0")
         try:
             budget = energy_budget(d.energy)
+            efficiencies.append(budget.efficiency)
             if budget.efficiency <= 1e-12:
                 violations.append(
                     f"device {d.id}: zero energy budget (target lifetime "
@@ -346,6 +348,8 @@ def _validate(config: ScenarioConfig, violations: list[str]) -> None:
                     "exists")
         except InfeasibleLifetime as exc:
             violations.append(f"device {d.id}: {exc}")
+    if len(efficiencies) == len(config.devices):
+        vars(config)["_efficiencies"] = efficiencies  # fills the cache
 
     if config.aps and config.devices and config.ranges is not None:
         try:

@@ -26,7 +26,7 @@ SUPER_UNIT = "super_unit"
 SUB_UNIT = "sub_unit"
 
 MAX_GRID_POINTS = 10_000_000  # cap on the oracle's grid_resolution ** n
-_GRID_BLOCK = 1 << 17         # oracle grid points evaluated at once
+_GRID_BLOCK = 1 << 15         # oracle grid points evaluated at once
 
 
 class SubUnitRegime(ValueError):
@@ -263,8 +263,8 @@ def brute_force_oracle(efficiencies, params: ContentionParams,
     relaxation) over ``grid_resolution`` points per device spanning
     [1, 10 * y*], then re-grids the cell around the winner once at the
     same resolution.  Each search evaluates all ``grid_resolution ** n``
-    points, in blocks of at most ``_GRID_BLOCK`` (2**17) points, so memory
-    stays a few MB; ``grid_resolution ** n`` above ``MAX_GRID_POINTS``
+    points, in blocks of at most ``_GRID_BLOCK`` (2**15) points, so memory
+    stays near 2 MB; ``grid_resolution ** n`` above ``MAX_GRID_POINTS``
     (10 million; 50**4 is 6.25 million) is refused before any work.  At
     n = 3 and the default resolution one call takes about 10 ms.
     """

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lifeadd import renewal
 from lifeadd.formulas import (ContentionParams, collision_probability,
@@ -148,24 +150,31 @@ def assert_same_bits(got: RenewalEstimates, want: RenewalEstimates):
 @pytest.mark.parametrize("n", [1, 2, 3, 30])
 def test_sparse_sums_equal_dense_reference_bit_for_bit(monkeypatch, n):
     # 2,001 cycles in chunks of 1,000: the last chunk has a single row.
-    # Blocks of 333 rows end each full chunk in a block of one row; blocks
-    # of 7 and of 1 row hand every running sum on many times per chunk,
-    # and blocks of 7 end each full chunk inside a block.
+    # With the default leaf a full chunk is one leaf, and blocks of 333
+    # rows end it in a block of one row.  Leaves of at most 128 values
+    # split a full chunk into 120- and 128-row leaves; blocks of 7 and of
+    # 1 row hand every running sum on many times per leaf, and blocks of
+    # 7 end each leaf inside a block.
     monkeypatch.setattr(renewal, "_CHUNK", 1000)
     rates = np.linspace(2000.0, 9000.0, n) / n
-    for block, seed in ((renewal._BLOCK, 3), (renewal._BLOCK, 4), (333, 6),
-                        (7, 7), (1, 8)):
-        monkeypatch.setattr(renewal, "_BLOCK", block)
+    default_rows = max(1, renewal._CELLS // n)
+    for rows, leaf, seed in ((default_rows, renewal._LEAF, 3),
+                             (default_rows, 128, 4), (333, renewal._LEAF, 6),
+                             (7, 128, 7), (1, 128, 8)):
+        monkeypatch.setattr(renewal, "_CELLS", rows * n)
+        monkeypatch.setattr(renewal, "_LEAF", leaf)
         assert_same_bits(simulate_cycles(rates, PARAMS, 2001, seed),
                          dense_reference(rates, PARAMS, 2001, seed, 1000))
 
 
 def test_sparse_sums_equal_dense_reference_at_default_chunk():
-    rates = np.array([3774.3, 5661.4, 9435.7])
+    # A full chunk is eight leaves of 25,000 cycles at the default leaf.
     n_cycles = 2 * renewal._CHUNK + 1
-    assert_same_bits(
-        simulate_cycles(rates, PARAMS, n_cycles, 11),
-        dense_reference(rates, PARAMS, n_cycles, 11, renewal._CHUNK))
+    for rates in ([2000.0], [3774.3, 5661.4, 9435.7],
+                  np.linspace(500.0, 2000.0, 30)):
+        assert_same_bits(
+            simulate_cycles(rates, PARAMS, n_cycles, 11),
+            dense_reference(rates, PARAMS, n_cycles, 11, renewal._CHUNK))
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -182,6 +191,31 @@ def test_first_waker_transmits_below_an_ulp_of_its_wake(n):
                                           renewal._CHUNK))
 
 
+@pytest.mark.parametrize("leaf", [renewal._LEAF, 128])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_leaf_sums_add_up_to_the_numpy_sum_bit_for_bit(leaf, data):
+    size = data.draw(st.one_of(
+        st.integers(1, 3 * leaf),
+        st.integers(1, 3 * leaf // 8).map(lambda k: 8 * k),
+        st.sampled_from([leaf - 1, leaf, leaf + 1])), label="size")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # signs and a wide spread of magnitudes make every rounding count
+    values = rng.standard_normal(size) * np.exp(rng.uniform(-30, 30, size))
+    leaves = []
+
+    def leaf_sum(count):
+        start = sum(leaves)
+        leaves.append(count)
+        return values[start:start + count].sum()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(renewal, "_LEAF", leaf)
+        got = renewal._pairwise(size, leaf_sum)
+    assert sum(leaves) == size and max(leaves) <= leaf
+    assert np.float64(got).tobytes() == np.add.reduce(values).tobytes()
+
+
 def traced_peak(rates, n_cycles: int) -> int:
     tracemalloc.start()
     try:
@@ -194,14 +228,29 @@ def traced_peak(rates, n_cycles: int) -> int:
 def test_peak_memory_at_thirty_devices():
     # The dense sums peaked near 200 MB here, one (m, n) draw 57 MB, the
     # chunk-long transmit indices and reward weights 15 MB; with all of a
-    # block's work done in the block it is near 5.5 MB.
+    # block's work done in 8,192-row blocks it was 4.7 MB.
     assert traced_peak(np.linspace(500.0, 2000.0, 30), 200_000) < 8e6
 
 
 def test_peak_memory_of_validate_at_three_devices():
     # The 1e6-cycle validate: near 18 MB with chunk-long transmit indices
-    # and reward weights, near 4.6 MB with only the (m,) cycle lengths.
+    # and reward weights, 2.8 MB with the chunk's (m,) cycle lengths.
     assert traced_peak(np.array([3774.3, 5661.4, 9435.7]), 1_000_000) < 8e6
+
+
+# With one leaf of cycle lengths and blocks of 2**15 cells held at a time,
+# the working set no longer grows with the chunk or with n.
+
+def test_leaf_sized_peak_at_thirty_devices():
+    assert traced_peak(np.linspace(500.0, 2000.0, 30), 200_000) < 1.5e6
+
+
+def test_leaf_sized_peak_of_validate_at_three_devices():
+    assert traced_peak(np.array([3774.3, 5661.4, 9435.7]), 1_000_000) < 2.5e6
+
+
+def test_leaf_sized_peak_at_one_device():
+    assert traced_peak(np.array([2000.0]), 400_000) < 2.5e6
 
 
 def test_peak_memory_does_not_grow_with_chunks():

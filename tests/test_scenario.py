@@ -365,3 +365,21 @@ def test_efficiencies_are_a_fresh_list_each_call():
     first[0] = -1.0
     first.append(0.0)
     assert config.efficiencies() == expected
+
+
+def test_a_parse_computes_each_budget_once(monkeypatch):
+    # The parser's feasibility check keeps the efficiencies it computes.
+    calls = []
+    budget = lifeadd.scenario.energy_budget
+
+    def counted(profile):
+        calls.append(profile)
+        return budget(profile)
+    monkeypatch.setattr(lifeadd.scenario, "energy_budget", counted)
+    config = parse_scenario("scenarios/multi_ap_4x30.json")
+    assert config.efficiencies() == [budget(d.energy).efficiency
+                                     for d in config.devices]
+    assert len(calls) == len(config.devices) == 30
+    copy = dataclasses.replace(config, seed=config.seed + 1)
+    assert copy.efficiencies() == config.efficiencies()
+    assert len(calls) == 60  # a replaced config computes its own

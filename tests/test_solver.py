@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -252,6 +253,19 @@ def test_oracle_caps_grid_points_before_allocating():
     with pytest.raises(ValueError, match="exceeds the oracle's cap"):
         brute_force_oracle([1.0], PARAMS,
                            grid_resolution=solver.MAX_GRID_POINTS + 1)
+
+
+def test_oracle_peak_memory_at_three_devices():
+    # Blocks of 2**15 grid points hold about 0.26 MB per array (1.6 MB
+    # traced); blocks of 2**17 held four times that (4.5 MB traced).
+    brute_force_oracle([0.5] * 3, PARAMS)  # one-time allocations first
+    tracemalloc.start()
+    try:
+        brute_force_oracle([0.5] * 3, PARAMS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
 
 
 def test_assign_rejects_zero_budget():
