@@ -24,16 +24,14 @@ before the next is drawn.  The block size moves no bits: split
 minimum is exact in any order.
 
 Rewards are summed over the transmitting cells only, about one per cycle,
-with ``np.bincount``, and give the same bits as ``.sum(axis=0)`` of the
-dense (cycles, devices) arrays: numpy reduces axis 0 of a C-ordered array
-with two or more columns row by row, which is the order ``np.bincount``
-adds its weights in, and the skipped ``+ 0.0`` terms change nothing.
-Each block's ``np.bincount`` takes the chunk's running per-device sums as
-its first ``n`` weights, so every bin adds the same terms in the same
-order as one call over the chunk (plain per-block sums added together
-would not).  A lone column is summed pairwise, so for one device each
-reward column is rebuilt leaf by leaf, from whether the device sent in
-each cycle, and summed in the tree of the cycle lengths.
+with ``np.add.at`` into the chunk's per-device sums, and give the same
+bits as ``.sum(axis=0)`` of the dense (cycles, devices) arrays: numpy
+reduces axis 0 of a C-ordered array with two or more columns row by row,
+``np.add.at`` adds its terms in index order, block after block, and the
+skipped ``+ 0.0`` terms change nothing.  A lone column is summed
+pairwise, not row by row, so for one device, which sends and wins every
+cycle (the window always holds its own wake), each reward column is
+built from the leaf's cycle lengths and summed in their tree.
 """
 
 from __future__ import annotations
@@ -102,17 +100,15 @@ def simulate_cycles(rates, params: ContentionParams, n_cycles: int,
     sum_c = 0.0
     sum_c2 = 0.0
     reward_sums = np.zeros((6, n))
-    lanes = np.arange(n)
+    chunk_sums = np.empty((6, n))  # the same sums over one chunk
     block = max(1, _CELLS // n)  # rows drawn at once
-    # One leaf-sized buffer pair for every leaf of every chunk.
+    # One leaf-sized cycle-length buffer for every leaf of every chunk.
     cycles = np.empty(min(n_cycles, _LEAF))
-    transmitted = np.empty(cycles.size, dtype=bool)
 
     def leaf_sums(size: int) -> np.ndarray:
         """The next ``size`` cycles' sums of c, c**2 and n = 1 rewards."""
-        nonlocal collision_cycles, attempt_count, win_count
+        nonlocal collision_cycles
         cycle = cycles[:size]
-        sent = transmitted[:size]  # n = 1: the cycles it transmits in
         for start in range(0, size, block):
             residual = rng.standard_exponential((min(block, size - start), n))
             residual /= r
@@ -128,27 +124,24 @@ def simulate_cycles(rates, params: ContentionParams, n_cycles: int,
             del residual  # free the draw before the next block's
             success = np.bincount(rows, minlength=first.size) == 1
             won = success[rows]
-            attempt_count += np.bincount(cols, minlength=n)
-            win_count += np.bincount(cols[won], minlength=n)
+            np.add.at(attempt_count, cols, 1.0)
+            np.add.at(win_count, cols[won], 1.0)
             collision_cycles += first.size - int(np.count_nonzero(success))
-            if n == 1:  # a lone transmitter always succeeds
-                sent[start:start + first.size] = success
+            if n == 1:  # summed below, in the tree of the cycle lengths
                 continue
 
             c = first[rows] + busy
             for k, keep, value in ((0, won, packet), (3, slice(None), busy)):
                 at = cols[keep]
-                terms = (np.full(at.size, value),
-                         np.full(at.size, value * value), value * c[keep])
-                at = np.concatenate((lanes, at))  # running sums go in first
-                for s, t in zip(chunk_sums[k:k + 3], terms):
-                    s[:] = np.bincount(at, weights=np.concatenate((s, t)),
-                                       minlength=n)
+                for s, t in zip(chunk_sums[k:k + 3],
+                                (value, value * value, value * c[keep])):
+                    np.add.at(s, at, t)
 
         cycle += busy
-        # a lone column is summed pairwise, so leaf by leaf as the lengths
-        lone = [np.where(sent, t, 0.0).sum() for v in (packet, busy)
-                for t in (v, v * v, v * cycle)] if n == 1 else []
+        # a lone device sends and wins every cycle, and a lone column is
+        # summed pairwise, so leaf by leaf as the lengths
+        lone = [(v * np.broadcast_to(w, size)).sum() for v in (packet, busy)
+                for w in (1.0, v, cycle)] if n == 1 else []
         total = cycle.sum()
         cycle *= cycle
         return np.array([total, cycle.sum(), *lone])
@@ -157,7 +150,7 @@ def simulate_cycles(rates, params: ContentionParams, n_cycles: int,
     while remaining > 0:
         m = min(remaining, _CHUNK)
         remaining -= m
-        chunk_sums = np.zeros((6, n))  # n >= 2: the running per-bin sums
+        chunk_sums.fill(0.0)
         sums = _pairwise(m, leaf_sums)
         if n == 1:
             chunk_sums[:, 0] = sums[2:]
@@ -237,12 +230,15 @@ def validate_against_formulas(rates, params: ContentionParams,
     for metric, predicted in predictions.items():
         values, sigmas = measured[metric]
         for dev in range(r.size):
-            delta = abs(values[dev] - predicted[dev])
+            predict, sigma = predicted[dev], sigmas[dev]
+            if sigma == 0:  # a measured 0 or 1: use the prediction's band
+                predict = min(max(predict, 0.0), 1.0)  # less its roundoff
+                sigma = np.sqrt(predict * (1 - predict) / estimates.n_cycles)
             rows.append(ValidationRow(
                 metric=metric, device=dev,
-                predicted=float(predicted[dev]),
+                predicted=float(predict),
                 measured=float(values[dev]),
-                sigma=float(sigmas[dev]),
-                ok=bool(delta <= N_SIGMA * sigmas[dev]),
+                sigma=float(sigma),
+                ok=bool(abs(values[dev] - predict) <= N_SIGMA * sigma),
             ))
     return rows

@@ -1,5 +1,6 @@
 """tools/bench_ab.py: alternating A/B runs of the benchmark on two trees."""
 
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -69,6 +70,19 @@ def test_smoke_pairs_alternate_and_fill_the_schema(tmp_path):
             assert 0 <= metric["pairs_won"] <= 2
             assert isinstance(metric["gain_shown"], bool)
             assert isinstance(metric["within_bound"], bool)
+
+
+def test_benchmark_digest_covers_the_reference_digests(tmp_path):
+    spec = importlib.util.spec_from_file_location("bench_ab", TOOL)
+    bench_ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_ab)
+    base = copy_tree(tmp_path / "base")
+    change = copy_tree(tmp_path / "change")
+    same = bench_ab.benchmark_digest(base)
+    assert bench_ab.benchmark_digest(change) == same
+    with open(change / "benchmarks" / "reference.json", "a") as f:
+        f.write("\n")
+    assert bench_ab.benchmark_digest(change) != same
 
 
 def test_unknown_workload_is_refused(tmp_path):

@@ -199,6 +199,20 @@ def test_simulate_csv_replications_without_out_fails_before_running(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_validate_passes_a_lone_device(tmp_path, capsys):
+    # A lone device wins every cycle: the measured 1 has no band of its
+    # own, and the closed form lands a few ulps past 1 (1 + 7e-16 here).
+    scenario = json.loads(Path(VALIDATION).read_text())
+    scenario["devices"] = scenario["devices"][:1]
+    scenario["devices"][0]["energy"]["target_lifetime_s"] = 4000.0
+    path = tmp_path / "lone.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = run_cli(capsys, "validate", "--scenario", str(path),
+                             "--cycles", "20000")
+    assert code == 0 and not err
+    assert out.count(" ok") == 4
+
+
 def test_validate_rejects_zero_cycles(capsys):
     code, out, err = run_cli(capsys, "validate", "--scenario", VALIDATION,
                              "--cycles", "0")

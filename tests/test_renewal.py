@@ -57,6 +57,27 @@ def test_validation_flags_wrong_prediction():
     assert any(not row.ok for row in rows)
 
 
+@pytest.mark.parametrize("measured, predicted, ok", [
+    (0.0, 1e-7, True), (0.0, 0.5, False),
+    (1.0, 1.0000000000000007, True), (1.0, 0.9999999999999994, True),
+    (1.0, 0.99, False)])
+def test_a_measured_zero_or_one_is_judged_by_the_prediction_band(
+        monkeypatch, measured, predicted, ok):
+    # A measured 0 or 1 has a zero-width binomial band of its own.
+    monkeypatch.setattr(renewal, "success_probability",
+                        lambda rates, params: np.array([predicted]))
+    zero, win = np.zeros(1), np.full(1, measured)
+    est = RenewalEstimates(
+        n_cycles=1000, win=win, win_sigma=zero, attempt=win,
+        attempt_sigma=zero, success_fraction=win,
+        success_fraction_sigma=zero, on_fraction=win, on_fraction_sigma=zero,
+        collision_fraction=0.0, mean_cycle=1.0)
+    row = validate_against_formulas([100.0], PARAMS, est)[0]
+    assert row.metric == "win_probability"
+    assert row.ok is ok
+    assert row.ok is (abs(row.z) <= renewal.N_SIGMA)
+
+
 def test_rejects_bad_inputs():
     with pytest.raises(ValueError):
         simulate_cycles([0.0, 100.0], PARAMS, 100, seed=1)
@@ -254,8 +275,8 @@ def test_leaf_sized_peak_at_one_device():
 
 
 def test_peak_memory_does_not_grow_with_chunks():
-    # Every chunk reuses one pair of cycle-length and transmit buffers,
-    # so the peak does not grow with the chunk count.  The first traced
+    # Every chunk reuses one cycle-length buffer and one array of reward
+    # sums, so the peak does not grow with the chunk count.  The first traced
     # call in a process carries one-time allocations: warm up first.
     rates = np.array([3774.3, 5661.4, 9435.7])
     traced_peak(rates, 1000)

@@ -44,10 +44,12 @@ META_PREFIX = "# lifeadd benchmark "
 
 
 def benchmark_digest(tree: Path) -> str:
-    """sha256 over the tree's benchmark files and ``BENCHMARK.json``."""
+    """sha256 over ``BENCHMARK.json``, the benchmark's code and the
+    reference digests its operations are checked against."""
     h = hashlib.sha256()
-    for path in [tree / "BENCHMARK.json",
-                 *sorted((tree / "benchmarks").glob("*.py"))]:
+    bench = tree / "benchmarks"
+    for path in [tree / "BENCHMARK.json", *sorted(bench.glob("*.py")),
+                 bench / "reference.json"]:
         h.update(path.name.encode() + b"\0" + path.read_bytes())
     return h.hexdigest()
 
