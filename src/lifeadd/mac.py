@@ -197,41 +197,45 @@ class Simulation:
 
     # -- energy ---------------------------------------------------------
 
-    def _drain(self, dev: _Device, now_ns: int) -> bool:
-        """Apply wall-clock drain since the last update; return dev.alive."""
-        if not dev.alive or now_ns <= dev.last_drain_ns:
-            return dev.alive
-        dt = (now_ns - dev.last_drain_ns) / NS_PER_S
-        rate = dev.drain_rate
-        level = dev.battery - rate * dt
-        if level <= 0.0 and rate > 0:
-            overshoot = -level
-            self._kill(dev, now_ns - seconds_to_ns(overshoot / rate))
-            return False
-        cap = dev.profile.battery_capacity
-        dev.battery = (level if 0.0 <= level <= cap
-                       else min(max(level, 0.0), cap))
-        dev.last_drain_ns = now_ns
-        return True
+    def _drain(self, dev: _Device, now_ns: int,
+               on_seconds: float | None = None,
+               window_start_ns: int | None = None) -> bool:
+        """The one ledger step: drain to ``now_ns``, charge, return alive.
 
-    def _charge_radio(self, dev: _Device, now_ns: int, on_seconds: float,
-                      window_start_ns: int | None = None) -> None:
-        """Charge radio-on energy accrued up to now (sleep-wake only)."""
-        if not self._drain(dev, now_ns):
-            return
+        Base power less recharge drains the battery from the last update
+        to ``now_ns`` (capacity clamps it; a level that reaches 0 is a
+        death placed where it crossed).  Given ``on_seconds`` (sleep-wake
+        only), the radio-on time accrued up to ``now_ns`` is then charged
+        there, even a zero one: a battery at or below 0 after it dies
+        inside the charged window, where the combined drain crosses zero
+        when ``window_start_ns`` is known, else at ``now_ns``.
+        """
+        if not dev.alive:
+            return False
+        if now_ns > dev.last_drain_ns:
+            rate = dev.drain_rate
+            level = dev.battery - rate * ((now_ns - dev.last_drain_ns)
+                                          / NS_PER_S)
+            if level <= 0.0 and rate > 0:
+                self._kill(dev, now_ns - seconds_to_ns(-level / rate))
+                return False
+            cap = dev.profile.battery_capacity  # the battery stays >= 0
+            dev.battery = level if level <= cap else cap
+            dev.last_drain_ns = now_ns
+        if on_seconds is None:
+            return True
         dev.on_time_ns += floor(on_seconds * NS_PER_S + 0.5)
         dev.battery -= dev.profile.radio_on_power * on_seconds
-        if dev.battery <= 0.0:
-            # Died inside the charged window; place the death where the
-            # combined drain crosses zero when the window is known.
-            total = (dev.profile.radio_on_power + dev.profile.base_power
-                     - dev.profile.recharge_rate)
-            if window_start_ns is not None and total > 0:
-                undershoot = -dev.battery
-                self._kill(dev, max(window_start_ns,
-                                    now_ns - seconds_to_ns(undershoot / total)))
-            else:
-                self._kill(dev, now_ns)
+        if dev.battery > 0.0:
+            return True
+        total = (dev.profile.radio_on_power + dev.profile.base_power
+                 - dev.profile.recharge_rate)
+        if window_start_ns is not None and total > 0:
+            self._kill(dev, max(window_start_ns,
+                                now_ns - seconds_to_ns(-dev.battery / total)))
+        else:
+            self._kill(dev, now_ns)
+        return False
 
     def _kill(self, dev: _Device, death_ns: int) -> None:
         dev.death_ns = death_ns
@@ -295,22 +299,10 @@ class Simulation:
         (never the device's own: it has no ``WAKE`` outstanding then).  The
         wakes in a busy window are aggregated (module docstring) and
         charged at its end, the anchor, which the next wake is drawn from.
-        Inlined: ``_drain`` (a drain that does not kill leaves ``level >=
-        0``), ``_charge_radio`` and ``RandomStream.exponential``.
         """
         dev, now_ns = self.devices[event.device], event.time
-        if not dev.alive:
+        if not self._drain(dev, now_ns):
             return
-        if now_ns > dev.last_drain_ns:
-            drain = dev.drain_rate
-            level = dev.battery - drain * ((now_ns - dev.last_drain_ns)
-                                           / NS_PER_S)
-            if level <= 0.0 and drain > 0:
-                self._kill(dev, now_ns - seconds_to_ns(-level / drain))
-                return
-            cap = dev.profile.battery_capacity
-            dev.battery = level if level <= cap else cap
-            dev.last_drain_ns = now_ns
         heard = now_ns - self.ts_ns
         anchor = now_ns  # becomes the latest end of a sensed source
         senses = self.senses_device[dev.idx]
@@ -323,33 +315,25 @@ class Simulation:
         if anchor == now_ns:
             self._begin_transmission(dev, now_ns)
             return
-        rate = dev.assigned_rate / dev.congestion_factor
         sensed_ns = now_ns + self.ts_ns
         extra = 0
         if anchor > sensed_ns:
-            extra = dev.stream.poisson(rate * ((anchor - sensed_ns)
-                                               / NS_PER_S))
+            extra = dev.stream.poisson(
+                dev.assigned_rate / dev.congestion_factor
+                * ((anchor - sensed_ns) / NS_PER_S))
         else:
             anchor = sensed_ns
-        drain = dev.drain_rate  # anchor > now_ns >= dev.last_drain_ns
-        level = dev.battery - drain * ((anchor - dev.last_drain_ns)
-                                       / NS_PER_S)
-        if level <= 0.0 and drain > 0:
-            self._kill(dev, anchor - seconds_to_ns(-level / drain))
-            return
-        cap = dev.profile.battery_capacity
-        dev.battery = level if level <= cap else cap
-        dev.last_drain_ns = anchor
-        on_seconds = (1 + extra) * self.params.sensing_time
-        dev.on_time_ns += floor(on_seconds * NS_PER_S + 0.5)
-        dev.battery -= dev.profile.radio_on_power * on_seconds
-        if dev.battery <= 0.0:
-            self._kill(dev, anchor)
-            return
+        if self._drain(dev, anchor, (1 + extra) * self.params.sensing_time):
+            self._wake_after(dev, anchor)
+
+    def _wake_after(self, dev: _Device, start_ns: int) -> None:
+        """Schedule the next wake an exponential sleep after ``start_ns``."""
+        rate = dev.assigned_rate / dev.congestion_factor
         if rate <= 0:
             raise ValueError(f"rate must be > 0, got {rate}")
-        delay_ns = floor(-log(dev.stream.uniform()) / rate * NS_PER_S + 0.5)
-        self.queue.schedule(anchor + delay_ns, WAKE, dev.idx)
+        self.queue.schedule(
+            start_ns + floor(-log(dev.stream.uniform()) / rate * NS_PER_S
+                             + 0.5), WAKE, dev.idx)
 
     def _on_tx_end(self, event: Event) -> None:
         dev, now_ns = self.devices[event.device], event.time
@@ -380,12 +364,9 @@ class Simulation:
         else:
             dev.tx_collision += 1
         if dev.mac == LIFEADD:
-            self._charge_radio(dev, now_ns, self.busy_ns / NS_PER_S,
-                               window_start_ns=tx.start)
+            self._drain(dev, now_ns, self.busy_ns / NS_PER_S, tx.start)
             # dev.mark_rate, even after a death: an over-count goldens pin.
-            dev.rate_integral += (dev.assigned_rate / dev.congestion_factor
-                                  * ((now_ns - dev.rate_mark_ns) / NS_PER_S))
-            dev.rate_mark_ns = now_ns
+            dev.mark_rate(now_ns)
             if success:
                 dev.congestion_factor = 1
             else:
@@ -393,13 +374,8 @@ class Simulation:
                     dev.congestion_factor * 2, MAX_CONGESTION_FACTOR)
             self._emit_trace(now_ns, "ack" if success else "timeout",
                              dev.idx, "F=", dev.congestion_factor)
-            if dev.alive:  # the next wake, as in _on_wake
-                rate = dev.assigned_rate / dev.congestion_factor
-                if rate <= 0:
-                    raise ValueError(f"rate must be > 0, got {rate}")
-                delay_ns = floor(-log(dev.stream.uniform()) / rate * NS_PER_S
-                                 + 0.5)
-                self.queue.schedule(now_ns + delay_ns, WAKE, dev.idx)
+            if dev.alive:
+                self._wake_after(dev, now_ns)
         else:
             self._drain(dev, now_ns)
             if success:
@@ -451,18 +427,8 @@ class Simulation:
     def _on_backoff_end(self, event: Event) -> None:
         """The channel cleared or the countdown ran out: re-decide or send."""
         dev, now_ns = self.devices[event.device], event.time
-        if not dev.alive:
+        if not self._drain(dev, now_ns):
             return
-        if now_ns > dev.last_drain_ns:  # self._drain, inlined
-            drain = dev.drain_rate
-            level = dev.battery - drain * ((now_ns - dev.last_drain_ns)
-                                           / NS_PER_S)
-            if level <= 0.0 and drain > 0:
-                self._kill(dev, now_ns - seconds_to_ns(-level / drain))
-                return
-            cap = dev.profile.battery_capacity  # level >= 0, as in _on_wake
-            dev.battery = level if level <= cap else cap
-            dev.last_drain_ns = now_ns
         if dev.backoff_end_ns is None:
             self._dcf_decide(dev, now_ns)
             return
@@ -521,8 +487,7 @@ class Simulation:
                 d.tx_collision += 1
                 self._emit_trace(now_ns + first_ns, "tx_start", d.idx,
                                  "collision")
-            self._charge_radio(d, boundary, busy_ns / NS_PER_S,
-                               window_start_ns=now_ns + first_ns)
+            self._drain(d, boundary, busy_ns / NS_PER_S, now_ns + first_ns)
         for d, wake_ns in zip(alive, wakes):  # the others, all alive
             if wake_ns < heard_ns:
                 continue
@@ -532,8 +497,7 @@ class Simulation:
             window = (first_ns + busy_ns) - wake_ns
             extra = d.stream.poisson(
                 d.assigned_rate / d.congestion_factor * (window / NS_PER_S))
-            self._charge_radio(d, boundary,
-                               (1 + extra) * self.params.sensing_time)
+            self._drain(d, boundary, (1 + extra) * self.params.sensing_time)
         if boundary < self.duration_ns and any(d.alive for d in self.devices):
             self.queue.schedule(boundary, CYCLE_START)
 
@@ -553,9 +517,8 @@ class Simulation:
             self.queue.schedule(0, CYCLE_START)
         else:
             for dev in self.devices:
-                if dev.mac == LIFEADD:  # congestion factor 1
-                    delay = dev.stream.exponential(dev.assigned_rate)
-                    self.queue.schedule(seconds_to_ns(delay), WAKE, dev.idx)
+                if dev.mac == LIFEADD:
+                    self._wake_after(dev, 0)
                 else:
                     dev.cw = CW_MIN
                     dev.residual_slots = dev.stream.integers(0, dev.cw)

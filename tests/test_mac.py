@@ -523,6 +523,125 @@ def test_trace_and_report_agree_on_death_times():
         assert row.tx_collision == outcomes[d, "timeout"]
 
 
+# -- the energy ledger --------------------------------------------------------
+
+
+class OneLedgerWriter(Simulation):
+    """Only ``_drain`` and ``_kill`` write a device's ledger: whatever they
+    leave, the next call from outside them finds unchanged."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.left = [self.ledger(d) for d in self.devices]
+        self.depth = 0
+        self.entries = 0
+
+    @staticmethod
+    def ledger(dev):
+        return dev.battery, dev.on_time_ns, dev.last_drain_ns
+
+    def _write(self, step, dev, *args):
+        if self.depth == 0:  # a _kill from inside _drain is its own write
+            assert self.ledger(dev) == self.left[dev.idx], (
+                f"device {dev.idx}: ledger written outside _drain and _kill")
+            self.entries += 1
+        self.depth += 1
+        try:
+            return step(dev, *args)
+        finally:
+            self.depth -= 1
+            self.left[dev.idx] = self.ledger(dev)
+
+    def _drain(self, dev, *args):
+        return self._write(super()._drain, dev, *args)
+
+    def _kill(self, dev, *args):
+        return self._write(super()._kill, dev, *args)
+
+
+def shortened(name, duration_s, target=None):
+    cfg = parse_scenario(f"scenarios/{name}.json")
+    if target is not None:
+        cfg = dataclasses.replace(cfg, devices=[
+            dataclasses.replace(d, energy=dataclasses.replace(
+                d.energy, target_lifetime=target)) for d in cfg.devices])
+    return dataclasses.replace(cfg, duration_s=duration_s)
+
+
+@pytest.mark.parametrize("name, duration_s, target, mac", [
+    ("multi_ap_4x30", 0.3, None, LIFEADD),
+    ("multi_ap_4x30", 0.3, None, DCF),
+    ("coexistence_4ap", 0.3, None, None),
+    ("single_ap_lifetime", 56.0, 45.0, None),  # all three die
+    ("single_ap_validation", 2.0, None, None)])
+def test_only_drain_and_kill_write_the_ledger(monkeypatch, name, duration_s,
+                                              target, mac):
+    cfg = shortened(name, duration_s, target)
+    plain = emit_report(run_config(cfg, mac_override=mac), "json")
+    made = []
+
+    def checked(*args, **kwargs):
+        made.append(OneLedgerWriter(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(lifeadd.mac, "Simulation", checked)
+    assert emit_report(run_config(cfg, mac_override=mac), "json") == plain
+    sim, = made
+    assert sim.entries > len(sim.devices)
+    if target is not None:
+        assert not any(d.alive for d in sim.devices)
+
+
+def ledger_device(profile, battery=None):
+    sim = Simulation(single_ap_topology(1), [profile], [11e6], [LIFEADD],
+                     PARAMS, 10.0, 3, mode="realistic")
+    dev = sim.devices[0]
+    if battery is not None:
+        dev.battery = battery
+    return sim, dev
+
+
+def test_a_drain_that_empties_the_battery_kills_where_it_crossed():
+    sim, dev = ledger_device(EnergyProfile(
+        initial_energy=1.0, battery_capacity=1.0, radio_on_power=1.0,
+        base_power=0.5))
+    assert sim._drain(dev, 1_000_000_000)
+    assert dev.battery == 0.5 and dev.last_drain_ns == 1_000_000_000
+    assert not sim._drain(dev, 4_000_000_000, 1.0)
+    assert (dev.alive, dev.death_ns, dev.battery) == (False, 2_000_000_000,
+                                                      0.0)
+    assert dev.on_time_ns == 0  # a dead device is charged nothing
+    assert not sim._drain(dev, 5_000_000_000)
+    assert dev.death_ns == 2_000_000_000
+
+
+@pytest.mark.parametrize("window_start_ns, death_ns", [
+    (None, 3_000_000_000),         # at the charge
+    (2_000_000_000, 2_500_000_000),  # where base and radio reach zero
+    (2_800_000_000, 2_800_000_000)])  # no earlier than the window
+def test_a_charge_that_empties_the_battery_dies_inside_its_window(
+        window_start_ns, death_ns):
+    sim, dev = ledger_device(EnergyProfile(
+        initial_energy=2.0, battery_capacity=2.0, radio_on_power=1.5,
+        base_power=0.5))
+    assert sim._drain(dev, 2_000_000_000)
+    assert not sim._drain(dev, 3_000_000_000, 1.0, window_start_ns)
+    assert (dev.alive, dev.death_ns, dev.battery) == (False, death_ns, 0.0)
+    assert dev.on_time_ns == 1_000_000_000
+
+
+def test_only_a_charge_kills_an_empty_device_without_net_drain():
+    sim, dev = ledger_device(EnergyProfile(
+        initial_energy=0.0, battery_capacity=1.0, radio_on_power=1.0,
+        base_power=0.2, recharge_rate=0.2), battery=0.0)
+    assert dev.drain_rate == 0.0
+    assert sim._drain(dev, 1_000_000_000)
+    assert (dev.alive, dev.battery, dev.last_drain_ns) == (True, 0.0,
+                                                           1_000_000_000)
+    assert not sim._drain(dev, 2_000_000_000, 0.0)
+    assert dev.death_ns == 2_000_000_000
+
+
 def test_event_kind_globals_name_their_members():
     names = [getattr(lifeadd.mac, kind.name) for kind in EventKind]
     assert names == list(EventKind)
