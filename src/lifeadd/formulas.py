@@ -85,12 +85,13 @@ def success_probability(rates, params: ContentionParams) -> np.ndarray:
 
     Device n wins when every other residual sleep exceeds its own by more
     than the sensing time.  Evaluated in log space so large rate-times-
-    sensing products cannot overflow.
+    sensing products cannot overflow, and clipped at 1, which a lone
+    device's roundoff can pass.
     """
     r = _as_rates(rates)
     y = r.sum()
     ts = params.sensing_time
-    return np.exp(np.log(r) + r * ts - math.log(y) - y * ts)
+    return np.minimum(np.exp(np.log(r) + r * ts - math.log(y) - y * ts), 1.0)
 
 
 def collision_probability(rates, params: ContentionParams) -> float:
@@ -105,12 +106,12 @@ def attempt_probability(rates, params: ContentionParams) -> np.ndarray:
     Device n transmits unless some other device woke more than the sensing
     time before it: either its residual sleep is shorter than the sensing
     time (nobody can have preceded it by that much) or it wakes first among
-    the survivors.
+    the survivors.  Clipped at 1, as ``success_probability``.
     """
     r = _as_rates(rates)
     y = r.sum()
     ts = params.sensing_time
-    return -np.expm1(-r * ts) + np.exp(-r * ts) * r / y
+    return np.minimum(-np.expm1(-r * ts) + np.exp(-r * ts) * r / y, 1.0)
 
 
 def success_time_fraction(rates, params: ContentionParams) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,9 @@ from lifeadd.formulas import (ContentionParams, RateVector,
                               energy_slack, log_throughput_utility,
                               radio_on_fraction, success_probability,
                               success_time_fraction, throughput)
+from lifeadd.mac import select_rates
 from lifeadd.renewal import simulate_cycles
+from lifeadd.scenario import parse_scenario
 from lifeadd.solver import assign_rates
 
 PARAMS = ContentionParams(sensing_time=4e-6, packet_time=0.9e-3,
@@ -20,6 +23,27 @@ ZERO_TS = ContentionParams(sensing_time=0.0, packet_time=0.9e-3,
 def test_single_contender_always_wins():
     for rate in (1.0, 500.0, 2e4):
         assert success_probability([rate], PARAMS)[0] == pytest.approx(1.0)
+
+
+def lone_device_rate(target):
+    """The rate ``single_ap_validation`` cut to d0 gives at ``target``."""
+    cfg = parse_scenario("scenarios/single_ap_validation.json")
+    d0 = cfg.devices[0]
+    cfg = dataclasses.replace(cfg, devices=[dataclasses.replace(
+        d0, energy=dataclasses.replace(d0.energy, target_lifetime=target))])
+    rates, _ = select_rates(cfg.build_topology(), cfg.efficiencies(),
+                            cfg.contention)
+    return rates[0], cfg.contention
+
+
+@pytest.mark.parametrize("target", [4000.0, 6000.0, 7000.0, 8000.0, 9000.0,
+                                    10000.0])
+def test_a_lone_device_never_passes_probability_one(target):
+    # Unclipped, roundoff put the closed forms up to 7e-16 past 1 here
+    # (4000 s gives 3057.97 Hz).
+    rate, params = lone_device_rate(target)
+    assert success_probability([rate], params)[0] <= 1.0
+    assert attempt_probability([rate], params)[0] <= 1.0
 
 
 def test_zero_sensing_window_reduces_to_rate_share():
