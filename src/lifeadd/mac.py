@@ -200,15 +200,15 @@ class Simulation:
     def _drain(self, dev: _Device, now_ns: int,
                on_seconds: float | None = None,
                window_start_ns: int | None = None) -> bool:
-        """The one ledger step: drain to ``now_ns``, charge, return alive.
+        """The one energy-ledger step; returns ``dev.alive``.
 
-        Base power less recharge drains the battery from the last update
-        to ``now_ns`` (capacity clamps it; a level that reaches 0 is a
-        death placed where it crossed).  Given ``on_seconds`` (sleep-wake
-        only), the radio-on time accrued up to ``now_ns`` is then charged
-        there, even a zero one: a battery at or below 0 after it dies
-        inside the charged window, where the combined drain crosses zero
-        when ``window_start_ns`` is known, else at ``now_ns``.
+        Drains base power less recharge from the last update to
+        ``now_ns``, clamped at the capacity; a level that reaches 0 kills
+        the device where it crossed.  Given ``on_seconds`` (sleep-wake
+        only, 0.0 included), then charges that much radio-on time at
+        ``now_ns``; a battery left at or below 0 dies inside the charged
+        window, where base and radio together cross zero if
+        ``window_start_ns`` is given, else at ``now_ns``.
         """
         if not dev.alive:
             return False
@@ -219,23 +219,23 @@ class Simulation:
             if level <= 0.0 and rate > 0:
                 self._kill(dev, now_ns - seconds_to_ns(-level / rate))
                 return False
-            cap = dev.profile.battery_capacity  # the battery stays >= 0
+            cap = dev.profile.battery_capacity  # not killed, so level >= 0
             dev.battery = level if level <= cap else cap
             dev.last_drain_ns = now_ns
         if on_seconds is None:
             return True
         dev.on_time_ns += floor(on_seconds * NS_PER_S + 0.5)
         dev.battery -= dev.profile.radio_on_power * on_seconds
-        if dev.battery > 0.0:
-            return True
-        total = (dev.profile.radio_on_power + dev.profile.base_power
-                 - dev.profile.recharge_rate)
-        if window_start_ns is not None and total > 0:
-            self._kill(dev, max(window_start_ns,
-                                now_ns - seconds_to_ns(-dev.battery / total)))
-        else:
-            self._kill(dev, now_ns)
-        return False
+        if dev.battery <= 0.0:
+            total = (dev.profile.radio_on_power + dev.profile.base_power
+                     - dev.profile.recharge_rate)
+            if window_start_ns is not None and total > 0:
+                self._kill(dev, max(window_start_ns, now_ns - seconds_to_ns(
+                    -dev.battery / total)))
+            else:
+                self._kill(dev, now_ns)
+            return False
+        return True
 
     def _kill(self, dev: _Device, death_ns: int) -> None:
         dev.death_ns = death_ns
