@@ -592,13 +592,10 @@ def test_only_drain_and_kill_write_the_ledger(monkeypatch, name, duration_s,
         assert not any(d.alive for d in sim.devices)
 
 
-def ledger_device(profile, battery=None):
+def ledger_device(profile):
     sim = Simulation(single_ap_topology(1), [profile], [11e6], [LIFEADD],
                      PARAMS, 10.0, 3, mode="realistic")
-    dev = sim.devices[0]
-    if battery is not None:
-        dev.battery = battery
-    return sim, dev
+    return sim, sim.devices[0]
 
 
 def test_a_drain_that_empties_the_battery_kills_where_it_crossed():
@@ -633,8 +630,8 @@ def test_a_charge_that_empties_the_battery_dies_inside_its_window(
 def test_only_a_charge_kills_an_empty_device_without_net_drain():
     sim, dev = ledger_device(EnergyProfile(
         initial_energy=0.0, battery_capacity=1.0, radio_on_power=1.0,
-        base_power=0.2, recharge_rate=0.2), battery=0.0)
-    assert dev.drain_rate == 0.0
+        base_power=0.2, recharge_rate=0.2))
+    assert (dev.battery, dev.drain_rate) == (0.0, 0.0)
     assert sim._drain(dev, 1_000_000_000)
     assert (dev.alive, dev.battery, dev.last_drain_ns) == (True, 0.0,
                                                            1_000_000_000)
