@@ -143,16 +143,6 @@ class RandomStream:
         """Uniform draw in (0, 1]."""
         return 1.0 - (self._doubles or self._refill()).pop()
 
-    def exponential(self, rate: float) -> float:
-        """Inverse-CDF exponential draw with mean 1/rate, in seconds.
-
-        Uses -log(u)/rate with u in (0, 1], so u == 1 yields exactly 0
-        rather than an infinite tail value.
-        """
-        if rate <= 0:
-            raise ValueError(f"rate must be > 0, got {rate}")
-        return -math.log(self.uniform()) / rate
-
     def poisson(self, mean: float) -> int:
         if mean < 0:
             raise ValueError("mean must be >= 0")

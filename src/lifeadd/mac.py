@@ -44,10 +44,13 @@ Sources start only at the current event time and never end early, so its
 channel is busy until the horizon if that is later than now, and idle
 otherwise.  The rule holds only for DCF readers.
 
-Per-wake sensing inside a known-busy window is aggregated into one Poisson
-draw for the wake count (each wake costs one sensing time of energy); the
-first wake after the window is a fresh exponential by memorylessness, so
-the aggregation is exact.
+Both engines apply one copy of each sleep-wake device rule: ``_sleep_ns``,
+the exponential sleep; ``_settle``, an attempt's outcome and energy; and
+the busy-window rule, ``_sleep_through``: the wakes inside a busy window
+are one Poisson count, each charged one sensing time at the window's end
+(exact, since the first wake after it is a fresh exponential).  The
+engines differ only in where the window opens: at the wake in renewal
+mode, at the wake plus the sensing time in realistic mode.
 
 Each device draws from its own ``RandomStream``: doubles come in blocks
 from the device's PCG64 stream, and every value equals the scalar
@@ -297,8 +300,7 @@ class Simulation:
         A source is sensed once it has been on for the sensing time: a
         data frame through ``senses_device``, an ACK through ``senses_ap``
         (never the device's own: it has no ``WAKE`` outstanding then).  The
-        wakes in a busy window are aggregated (module docstring) and
-        charged at its end, the anchor, which the next wake is drawn from.
+        next wake is drawn from the anchor, the end of the busy window.
         """
         dev, now_ns = self.devices[event.device], event.time
         if not self._drain(dev, now_ns):
@@ -316,24 +318,41 @@ class Simulation:
             self._begin_transmission(dev, now_ns)
             return
         sensed_ns = now_ns + self.ts_ns
-        extra = 0
-        if anchor > sensed_ns:
-            extra = dev.stream.poisson(
-                dev.assigned_rate / dev.congestion_factor
-                * ((anchor - sensed_ns) / NS_PER_S))
-        else:
+        if anchor < sensed_ns:
             anchor = sensed_ns
-        if self._drain(dev, anchor, (1 + extra) * self.params.sensing_time):
-            self._wake_after(dev, anchor)
+        if self._sleep_through(dev, sensed_ns, anchor):
+            self.queue.schedule(anchor + self._sleep_ns(dev), WAKE, dev.idx)
 
-    def _wake_after(self, dev: _Device, start_ns: int) -> None:
-        """Schedule the next wake an exponential sleep after ``start_ns``."""
+    @staticmethod
+    def _sleep_ns(dev: _Device) -> int:
+        """An exponential sleep at the effective rate, in whole ns."""
         rate = dev.assigned_rate / dev.congestion_factor
         if rate <= 0:
             raise ValueError(f"rate must be > 0, got {rate}")
-        self.queue.schedule(
-            start_ns + floor(-log(dev.stream.uniform()) / rate * NS_PER_S
-                             + 0.5), WAKE, dev.idx)
+        return floor(-log(dev.stream.uniform()) / rate * NS_PER_S + 0.5)
+
+    def _sleep_through(self, dev: _Device, from_ns: int,
+                       until_ns: int) -> bool:
+        """The busy-window rule (module docstring); returns ``dev.alive``."""
+        wakes = 1  # the one that found the channel busy
+        if until_ns > from_ns:
+            wakes += dev.stream.poisson(
+                dev.assigned_rate / dev.congestion_factor
+                * ((until_ns - from_ns) / NS_PER_S))
+        return self._drain(dev, until_ns, wakes * self.params.sensing_time)
+
+    def _settle(self, dev: _Device, success: bool, start_ns: int,
+                end_ns: int) -> None:
+        """Count an attempt's outcome and drain to its end; a Life-Add
+        radio pays the busy time, dying no earlier than ``start_ns``."""
+        if success:
+            dev.tx_success += 1
+        else:
+            dev.tx_collision += 1
+        if dev.mac == LIFEADD:
+            self._drain(dev, end_ns, self.busy_ns / NS_PER_S, start_ns)
+        else:
+            self._drain(dev, end_ns)
 
     def _on_tx_end(self, event: Event) -> None:
         dev, now_ns = self.devices[event.device], event.time
@@ -359,12 +378,8 @@ class Simulation:
         self.on_air.remove(tx)
         tx.overlaps.clear()  # so that refcounting frees overlapping records
         success = tx.success
-        if success:
-            dev.tx_success += 1
-        else:
-            dev.tx_collision += 1
+        self._settle(dev, success, tx.start, now_ns)
         if dev.mac == LIFEADD:
-            self._drain(dev, now_ns, self.busy_ns / NS_PER_S, tx.start)
             # dev.mark_rate, even after a death: an over-count goldens pin.
             dev.mark_rate(now_ns)
             if success:
@@ -375,9 +390,9 @@ class Simulation:
             self._emit_trace(now_ns, "ack" if success else "timeout",
                              dev.idx, "F=", dev.congestion_factor)
             if dev.alive:
-                self._wake_after(dev, now_ns)
+                self.queue.schedule(now_ns + self._sleep_ns(dev), WAKE,
+                                    dev.idx)
         else:
-            self._drain(dev, now_ns)
             if success:
                 dev.cw = CW_MIN
             else:
@@ -469,35 +484,24 @@ class Simulation:
         alive = [d for d in self.devices if d.alive]
         if not alive:
             return
-        wakes = [floor(d.stream.exponential(
-            d.assigned_rate / d.congestion_factor) * NS_PER_S + 0.5)
-            for d in alive]  # seconds_to_ns, inlined
+        wakes = [now_ns + self._sleep_ns(d) for d in alive]
         first_ns = min(wakes)
         heard_ns = first_ns + self.ts_ns
         transmitters = [d for d, w in zip(alive, wakes) if w < heard_ns]
         success = len(transmitters) == 1
-        busy_ns = self.busy_ns
-        boundary = now_ns + first_ns + busy_ns
+        boundary = first_ns + self.busy_ns
 
         for d in transmitters:
-            if success:
-                d.tx_success += 1
-                self._emit_trace(now_ns + first_ns, "tx_start", d.idx, "ok")
-            else:
-                d.tx_collision += 1
-                self._emit_trace(now_ns + first_ns, "tx_start", d.idx,
-                                 "collision")
-            self._drain(d, boundary, busy_ns / NS_PER_S, now_ns + first_ns)
+            self._emit_trace(first_ns, "tx_start", d.idx,
+                             "ok" if success else "collision")
+            self._settle(d, success, first_ns, boundary)
         for d, wake_ns in zip(alive, wakes):  # the others, all alive
             if wake_ns < heard_ns:
                 continue
-            if wake_ns >= first_ns + busy_ns:
+            if wake_ns >= boundary:
                 self._drain(d, boundary)
-                continue
-            window = (first_ns + busy_ns) - wake_ns
-            extra = d.stream.poisson(
-                d.assigned_rate / d.congestion_factor * (window / NS_PER_S))
-            self._drain(d, boundary, (1 + extra) * self.params.sensing_time)
+            else:  # the window opens at the wake itself (module docstring)
+                self._sleep_through(d, wake_ns, boundary)
         if boundary < self.duration_ns and any(d.alive for d in self.devices):
             self.queue.schedule(boundary, CYCLE_START)
 
@@ -518,7 +522,7 @@ class Simulation:
         else:
             for dev in self.devices:
                 if dev.mac == LIFEADD:
-                    self._wake_after(dev, 0)
+                    self.queue.schedule(self._sleep_ns(dev), WAKE, dev.idx)
                 else:
                     dev.cw = CW_MIN
                     dev.residual_slots = dev.stream.integers(0, dev.cw)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy import stats
 
 from lifeadd.kernel import (CausalityViolation, Event, EventKind, EventQueue,
                             RandomStream, seconds_to_ns)
+from lifeadd.mac import Simulation
 
 
 def test_ties_dequeue_in_scheduling_order():
@@ -86,10 +88,19 @@ def test_rounding_half_up():
     assert seconds_to_ns(4e-6) == 4000
 
 
+# The simulator's exponential sleep, Simulation._sleep_ns, on a stream.
+
+
+def sleeps_s(rate, stream, n):
+    """``n`` sleeps of a device at ``rate`` Hz, in seconds."""
+    dev = SimpleNamespace(assigned_rate=rate, congestion_factor=1,
+                          stream=stream)
+    return np.array([Simulation._sleep_ns(dev) for _ in range(n)]) / 1e9
+
+
 def test_exponential_mean():
-    stream = RandomStream(123, 0)
     n = 1_000_000
-    draws = np.array([stream.exponential(1000.0) for _ in range(n)])
+    draws = sleeps_s(1000.0, RandomStream(123, 0), n)
     # 3 sigma of the sample mean is 3/sqrt(n) relative
     assert abs(draws.mean() - 1e-3) / 1e-3 < 3.0 / math.sqrt(n)
 
@@ -99,19 +110,18 @@ def test_exponential_unit_uniform_edge_is_zero():
         def uniform(self):
             return 1.0
 
-    assert RandomStream.exponential(OneStream(), 500.0) == 0.0
+    assert sleeps_s(500.0, OneStream(), 1).tolist() == [0.0]
 
 
 def test_exponential_rejects_bad_rate():
-    stream = RandomStream(1, 0)
-    with pytest.raises(ValueError):
-        stream.exponential(0.0)
+    for rate in (0.0, -1.0):
+        with pytest.raises(ValueError, match="rate must be > 0"):
+            sleeps_s(rate, RandomStream(1, 0), 1)
 
 
 def test_memorylessness_ks():
-    stream = RandomStream(7, 0)
     rate = 200.0
-    draws = np.array([stream.exponential(rate) for _ in range(100_000)])
+    draws = sleeps_s(rate, RandomStream(7, 0), 100_000)
     t = 1.0 / rate
     conditioned = draws[draws > t] - t
     result = stats.kstest(conditioned, "expon", args=(0, 1.0 / rate))
@@ -145,7 +155,6 @@ BELOW_TEN = math.nextafter(10.0, 0.0)
 # enough that a few bursts cross a draw-block boundary.
 DRAWS = st.one_of(
     st.tuples(st.just("uniform"), st.integers(1, 300)),
-    st.tuples(st.just("exponential"), st.floats(1e-3, 1e6)),
     st.tuples(st.just("poisson"),
               st.sampled_from([1e-300, BELOW_TEN, 10.0, 250.0])
               | st.floats(0.0, 10.0, exclude_min=True, exclude_max=True)),
@@ -156,8 +165,6 @@ DRAWS = st.one_of(
 def _stream_draw(stream, kind, arg):
     if kind == "uniform":
         return [stream.uniform() for _ in range(arg)]
-    if kind == "exponential":
-        return stream.exponential(arg)
     if kind == "poisson":
         return stream.poisson(arg)
     return stream.integers(0, arg)
@@ -167,8 +174,6 @@ def _scalar_draw(generator, kind, arg):
     """The same draw as one scalar Generator call per value."""
     if kind == "uniform":
         return [1.0 - generator.random() for _ in range(arg)]
-    if kind == "exponential":
-        return -math.log(1.0 - generator.random()) / arg
     if kind == "poisson":
         return int(generator.poisson(arg))
     return int(generator.integers(0, arg + 1))

@@ -13,7 +13,7 @@ import lifeadd.mac
 from lifeadd.energy import EnergyProfile, energy_budget
 from lifeadd.formulas import ContentionParams, success_time_fraction
 from lifeadd.kernel import EventKind, EventQueue
-from lifeadd.mac import (DCF, LIFEADD, MACS, REALISTIC, Simulation,
+from lifeadd.mac import (DCF, LIFEADD, MACS, REALISTIC, RENEWAL, Simulation,
                          run_config, select_rates)
 from lifeadd.report import emit_report
 from lifeadd.scenario import parse_scenario
@@ -456,6 +456,67 @@ def test_records_off_the_air_are_freed_without_the_cycle_collector():
     # Alive: the records on the air at the end and those they overlap.
     assert {id(r) for r in records} == {
         id(r) for tx in sim.on_air for r in [tx, *tx.overlaps]}
+
+
+# -- the sleep-wake device rules shared by both engines ----------------------
+
+
+class FixedSleeps(Simulation):
+    """Each device sleeps a fixed time; records every busy window that a
+    device sleeps through as ``(device, from_ns, until_ns)``."""
+
+    SLEEPS_NS = (1_000, 50_000)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.windows = []
+
+    def _sleep_ns(self, dev):
+        return self.SLEEPS_NS[dev.idx]
+
+    def _sleep_through(self, dev, from_ns, until_ns):
+        self.windows.append((dev.idx, from_ns, until_ns))
+        return super()._sleep_through(dev, from_ns, until_ns)
+
+
+def test_the_engines_open_a_busy_window_at_different_instants():
+    """Pins today's behaviour, the busy-window FOUND in CHANGES.md: the
+    renewal engine opens the window at the wake, the realistic one at the
+    wake plus the sensing time.  Mending that FOUND edits this test.
+
+    Device 0 wakes at 1 us and sends; device 1 wakes 50 us in, during the
+    packet.  The renewal window ends at the cycle boundary, after the ACK;
+    the realistic one at the end of the data frame it senses.
+    """
+    windows = {}
+    for mode in (RENEWAL, REALISTIC):
+        sim = FixedSleeps(single_ap_topology(2), [big_profile()] * 2,
+                          [11e6] * 2, [LIFEADD] * 2, PARAMS, 0.9e-3, 3,
+                          mode=mode)
+        sim.run()
+        windows[mode] = sim.windows
+    first, wake = FixedSleeps.SLEEPS_NS
+    assert windows == {
+        RENEWAL: [(1, wake, first + sim.busy_ns)],
+        REALISTIC: [(1, wake + sim.ts_ns, first + sim.packet_ns)]}
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "mark_rate FOUND in CHANGES.md: _on_attempt_done folds the rate "
+    "integral past a death; mending it moves the single_ap benchmark "
+    "references"))
+@pytest.mark.parametrize("target", [45.0, 108.0])
+def test_the_rate_integral_stops_at_death(target):
+    cfg = shortened("single_ap_lifetime", 130.0, target)
+    topo = cfg.build_topology()
+    sim = Simulation(topo, cfg.profiles(), cfg.alphas(),
+                     cfg.device_macs(topo), cfg.contention, cfg.duration_s,
+                     11, mode=REALISTIC)
+    sim.run()
+    dead = [d for d in sim.devices if not d.alive]
+    assert dead
+    assert [(d.idx, d.rate_mark_ns - d.death_ns) for d in dead
+            if d.rate_mark_ns > d.death_ns] == []
 
 
 def test_near_far_fairness_ordering():
