@@ -17,21 +17,33 @@ which is numpy's ``0.0 + pairwise(x)`` bit for bit for non-negative
 terms.  numpy adds up to 128 values (its ``PW_BLOCKSIZE``) without
 halving them, so the leaf bound is at least 128.  The chunk size fixes
 the tree, so changing ``_CHUNK`` moves the ``mean_cycle`` bits.  Each
-leaf is drawn in blocks of at most ``_CELLS`` (cycle, device) cells,
-whose draw, row minimum, transmit cells, counts and rewards are done
-before the next is drawn.  The block size moves no bits: split
-``standard_exponential`` draws concatenate to the single draw, and a row
-minimum is exact in any order.
+leaf is drawn in blocks of at most ``_CELLS`` (cycle, device) cells and
+``_ROWS`` cycles, into buffers made once per call; a block's draw, row
+minimum, transmit cells, counts and rewards are done before the next is
+drawn.  The block size moves no bits: split ``standard_exponential``
+draws concatenate to the single draw, and a row minimum is exact in any
+order.  A block's transmit-cell index arrays hold about one entry per
+cycle, so ``_ROWS`` keeps each under 64 KB, and glibc trims its heap only
+when a chunk of 64 KB or more is freed: the blocks reuse the same pages
+rather than fault them in again.
 
-Rewards are summed over the transmitting cells only, about one per cycle,
-with ``np.add.at`` into the chunk's per-device sums, and give the same
-bits as ``.sum(axis=0)`` of the dense (cycles, devices) arrays: numpy
-reduces axis 0 of a C-ordered array with two or more columns row by row,
-``np.add.at`` adds its terms in index order, block after block, and the
-skipped ``+ 0.0`` terms change nothing.  A lone column is summed
-pairwise, not row by row, so for one device, which sends and wins every
-cycle (the window always holds its own wake), each reward column is
-built from the leaf's cycle lengths and summed in their tree.
+Each device's wins and sends are counted per chunk.  Four of the six
+reward sums add a constant: the packet time and its square per win, the
+busy time and its square per send.  A chunk's sum starts at 0.0 and adds
+its constant once per count, in order, which is the running total of
+``np.add.accumulate`` over that many copies of it, read at the count
+(``_repeated_sums``, one pass per constant up to the call's largest
+count).  The two sums against the cycle length c are added over the
+transmitting cells only, about one per cycle, with ``np.add.at`` into
+the chunk's per-device sums.  All six give the same bits as
+``.sum(axis=0)`` of the dense (cycles, devices) arrays: numpy reduces
+axis 0 of a C-ordered array with two or more columns row by row,
+``np.add.at`` adds its terms in index order, block after block,
+``np.add.accumulate`` adds in order too, and the skipped ``+ 0.0`` terms
+change nothing.  A lone column is summed pairwise, not row by row, so
+for one device, which sends and wins every cycle (the window always
+holds its own wake), each reward column is built from the leaf's cycle
+lengths and summed in their tree.
 """
 
 from __future__ import annotations
@@ -46,7 +58,8 @@ from .formulas import (ContentionParams, _as_rates, attempt_probability,
 
 _CHUNK = 200_000
 _CELLS = 1 << 15  # (cycle, device) cells drawn at once; any size, same bits
-_LEAF = _CELLS    # cycle lengths summed at once; >= 128, numpy's PW_BLOCKSIZE
+_ROWS = 1 << 12   # and at most this many cycles: index arrays under 64 KB
+_LEAF = 1 << 15   # cycle lengths summed at once; >= 128, numpy's PW_BLOCKSIZE
 N_SIGMA = 3.0   # a measured metric within this many sigmas passes
 
 
@@ -57,6 +70,29 @@ def _pairwise(m: int, leaf_sum):
     half = m // 2
     half -= half % 8
     return _pairwise(half, leaf_sum) + _pairwise(m - half, leaf_sum)
+
+
+def _repeated_sums(value: float, counts: np.ndarray,
+                   scratch: np.ndarray) -> np.ndarray:
+    """``0.0 + value + value + ...`` over each of ``counts`` terms, in order.
+
+    One ``np.add.accumulate`` pass (sequential, where ``.sum()`` is
+    pairwise) runs up to the largest count, ``scratch.size`` terms at a
+    time, each total carried into the first term of the next; every count
+    reads its sum on the way.
+    """
+    sums = np.zeros(counts.shape)
+    total = 0.0
+    end = int(counts.max())
+    for start in range(0, end, scratch.size):
+        terms = scratch[:min(scratch.size, end - start)]
+        terms.fill(value)
+        terms[0] += total
+        np.add.accumulate(terms, out=terms)
+        here = (counts > start) & (counts <= start + terms.size)
+        sums[here] = terms[counts[here] - start - 1]
+        total = terms[-1]
+    return sums
 
 
 @dataclass
@@ -91,8 +127,8 @@ def simulate_cycles(rates, params: ContentionParams, n_cycles: int,
     packet = params.packet_time
     busy = params.busy_time
 
-    win_count = np.zeros(n)
-    attempt_count = np.zeros(n)
+    # Each chunk's per-device wins (row 0) and sends (row 1).
+    counts = np.zeros((-(-n_cycles // _CHUNK), 2, n), dtype=np.int64)
     collision_cycles = 0
     # Ratio-estimator accumulators: per-device reward sums, their squares
     # and cross terms against the cycle length, for the successful airtime
@@ -101,41 +137,51 @@ def simulate_cycles(rates, params: ContentionParams, n_cycles: int,
     sum_c2 = 0.0
     reward_sums = np.zeros((6, n))
     chunk_sums = np.empty((6, n))  # the same sums over one chunk
-    block = max(1, _CELLS // n)  # rows drawn at once
-    # One leaf-sized cycle-length buffer for every leaf of every chunk.
+    block = max(1, min(_ROWS, _CELLS // n))  # rows drawn at once
+    # One leaf-sized cycle-length buffer for every leaf of every chunk, and
+    # one draw, wake-window and transmit-test buffer for every block.
     cycles = np.empty(min(n_cycles, _LEAF))
+    draws = np.empty((min(block, cycles.size), n))
+    windows = np.empty(draws.shape[0])
+    sends = np.empty(draws.shape, dtype=bool)
+    # Divide and compare down each device's column while a row of n cells
+    # is too short an inner loop, else row by row; the bits are the same.
+    order = "C" if n < 6 else "K"
 
     def leaf_sums(size: int) -> np.ndarray:
         """The next ``size`` cycles' sums of c, c**2 and n = 1 rewards."""
         nonlocal collision_cycles
         cycle = cycles[:size]
         for start in range(0, size, block):
-            residual = rng.standard_exponential((min(block, size - start), n))
-            residual /= r
-            first = cycle[start:start + residual.shape[0]]
+            rows = min(block, size - start)
+            residual = rng.standard_exponential(out=draws[:rows])
+            np.divide(residual.T, r[:, None], out=residual.T, order=order)
+            first = cycle[start:start + rows]
             first[:] = residual[:, 0]
             for j in range(1, n):
                 np.minimum(first, residual[:, j], out=first)
-            window = first + ts
+            if n == 1:  # it sends and wins every cycle; rewards come below
+                tally[:, 0] += rows
+                continue
+
+            window = np.add(first, ts, out=windows[:rows])
             # first + ts rounds to first when ts is below half an ulp of
             # it, and the first waker must still transmit
             np.nextafter(first, np.inf, out=window, where=window == first)
-            rows, cols = divmod(np.flatnonzero(residual < window[:, None]), n)
-            del residual  # free the draw before the next block's
-            success = np.bincount(rows, minlength=first.size) == 1
-            won = success[rows]
-            np.add.at(attempt_count, cols, 1.0)
-            np.add.at(win_count, cols[won], 1.0)
-            collision_cycles += first.size - int(np.count_nonzero(success))
-            if n == 1:  # summed below, in the tree of the cycle lengths
-                continue
+            sent = sends[:rows]
+            np.less(residual.T, window, out=sent.T, order=order)
+            cell = np.flatnonzero(sent)
+            row = cell // n
+            col = cell - row * n
+            success = np.bincount(row, minlength=rows) == 1
+            won = success[row]
+            tally[0] += np.bincount(col[won], minlength=n)
+            tally[1] += np.bincount(col, minlength=n)
+            collision_cycles += rows - int(np.count_nonzero(success))
 
-            c = first[rows] + busy
-            for k, keep, value in ((0, won, packet), (3, slice(None), busy)):
-                at = cols[keep]
-                for s, t in zip(chunk_sums[k:k + 3],
-                                (value, value * value, value * c[keep])):
-                    np.add.at(s, at, t)
+            c = first[row] + busy
+            np.add.at(chunk_sums[2], col[won], packet * c[won])
+            np.add.at(chunk_sums[5], col, busy * c)
 
         cycle += busy
         # a lone device sends and wins every cycle, and a lone column is
@@ -147,7 +193,7 @@ def simulate_cycles(rates, params: ContentionParams, n_cycles: int,
         return np.array([total, cycle.sum(), *lone])
 
     remaining = n_cycles
-    while remaining > 0:
+    for tally in counts:
         m = min(remaining, _CHUNK)
         remaining -= m
         chunk_sums.fill(0.0)
@@ -157,10 +203,16 @@ def simulate_cycles(rates, params: ContentionParams, n_cycles: int,
         reward_sums += chunk_sums
         sum_c += sums[0]
         sum_c2 += sums[1]
+    if n > 1:  # the constant rewards, once per win or send of each chunk
+        for k, v, tallies in ((0, packet, counts[:, 0]),
+                              (1, packet * packet, counts[:, 0]),
+                              (3, busy, counts[:, 1]),
+                              (4, busy * busy, counts[:, 1])):
+            for chunk_sum in _repeated_sums(v, tallies, cycles):
+                reward_sums[k] += chunk_sum
 
     m = float(n_cycles)
-    win = win_count / m
-    attempt = attempt_count / m
+    win, attempt = counts.sum(axis=0) / m
     win_sigma = np.sqrt(np.maximum(win * (1 - win), 0.0) / m)
     attempt_sigma = np.sqrt(np.maximum(attempt * (1 - attempt), 0.0) / m)
 

@@ -1,5 +1,9 @@
 import dataclasses
-import tracemalloc
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,13 +241,53 @@ def test_leaf_sums_add_up_to_the_numpy_sum_bit_for_bit(leaf, data):
     assert np.float64(got).tobytes() == np.add.reduce(values).tobytes()
 
 
+@pytest.mark.parametrize("leaf", [renewal._LEAF, 128])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_repeated_sums_add_in_order_bit_for_bit(leaf, data):
+    # Against a plain ``s += v`` loop, with a scratch of one leaf of values
+    # and of 128: counts at and across the pass boundaries, values over
+    # a wide spread of magnitudes and the rewards' own constants.
+    counts = data.draw(st.lists(st.one_of(
+        st.sampled_from([0, 1, leaf - 1, leaf, leaf + 1, 3 * leaf + 1]),
+        st.integers(0, 3 * leaf + 1)), min_size=1, max_size=4),
+        label="counts")
+    packet, busy = PARAMS.packet_time, PARAMS.busy_time
+    value = data.draw(st.one_of(
+        st.sampled_from([packet, packet * packet, busy, busy * busy]),
+        st.floats(-1e300, 1e300)), label="value")
+    got = renewal._repeated_sums(value, np.array(counts), np.empty(leaf))
+    want, s = {0: 0.0}, 0.0
+    for k in range(1, max(counts) + 1):
+        s += value
+        want[k] = s
+    for count, total in zip(counts, got):
+        assert np.float64(total).tobytes() == np.float64(want[count]).tobytes()
+
+
+PEAK = """
+import json, sys, tracemalloc
+import numpy as np
+from lifeadd.formulas import ContentionParams
+from lifeadd.renewal import simulate_cycles
+rates, params, n_cycles = json.loads(sys.argv[1])
+tracemalloc.start()
+simulate_cycles(np.array(rates), ContentionParams(**params), n_cycles, seed=1)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
 def traced_peak(rates, n_cycles: int) -> int:
-    tracemalloc.start()
-    try:
-        simulate_cycles(rates, PARAMS, n_cycles, seed=1)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    """The traced peak of one call in a fresh interpreter: cold, with its
+    one-time allocations (numpy.random's first import, 0.75 MB), whatever
+    ran before it in this process."""
+    args = json.dumps([list(map(float, rates)), dataclasses.asdict(PARAMS),
+                       n_cycles])
+    src = str(Path(renewal.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", PEAK, args], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    return int(out.stdout)
 
 
 def test_peak_memory_at_thirty_devices():
@@ -259,8 +303,9 @@ def test_peak_memory_of_validate_at_three_devices():
     assert traced_peak(np.array([3774.3, 5661.4, 9435.7]), 1_000_000) < 8e6
 
 
-# With one leaf of cycle lengths and blocks of 2**15 cells held at a time,
-# the working set no longer grows with the chunk or with n.
+# With one leaf of cycle lengths and blocks of at most 2**15 cells held at a
+# time, the working set no longer grows with the chunk or with n.  The
+# bounds hold cold, with numpy.random's first import in the peak.
 
 def test_leaf_sized_peak_at_thirty_devices():
     assert traced_peak(np.linspace(500.0, 2000.0, 30), 200_000) < 1.5e6
@@ -276,9 +321,10 @@ def test_leaf_sized_peak_at_one_device():
 
 def test_peak_memory_does_not_grow_with_chunks():
     # Every chunk reuses one cycle-length buffer and one array of reward
-    # sums, so the peak does not grow with the chunk count.  The first traced
-    # call in a process carries one-time allocations: warm up first.
+    # sums, so the peak does not grow with the chunk count; only the
+    # per-chunk win and send tallies do, by 16 bytes per device.  Both
+    # calls run cold, in fresh interpreters, with the same one-time
+    # allocations.
     rates = np.array([3774.3, 5661.4, 9435.7])
-    traced_peak(rates, 1000)
     one_chunk = traced_peak(rates, renewal._CHUNK)
     assert traced_peak(rates, 1_000_000) <= one_chunk + 64 * 1024
