@@ -37,12 +37,16 @@ it; the per-event code indexes those rather than numpy.  What is on the
 air is one list, ``on_air``, of one record per attempt: it joins at
 key-up and leaves at its own ``ACK_END`` or ``TIMEOUT``, and readers tell
 its data (``start``..``end``) from its ACK (``end``..``ack_end``, set by
-a successful ``TX_END``) by time.  A DCF station, which hears a source
-from its first nanosecond, reads no list: ``busy_horizon_ns``, the
-latest end of any source it hears, rises where a source keys up.
-Sources start only at the current event time and never end early, so its
-channel is busy until the horizon if that is later than now, and idle
-otherwise.  The rule holds only for DCF readers.
+a successful ``TX_END``) by time.  An attempt's fate is decided at
+key-up: it and each record still sending judge each other once
+(``_corrupts``), so ``TX_END`` reads two flags, ``corrupted`` and
+``ack_overlap``, and success is the event kind, ``ACK_END``.  A DCF
+station, which hears a source from its first nanosecond, reads no list:
+``busy_horizon_ns``, the latest end of any source it hears, rises where
+a source keys up.  Sources start only at the current event time and
+never end early, so its channel is busy until the horizon if that is
+later than now, and idle otherwise.  The rule holds only for DCF
+readers.
 
 Both engines apply one copy of each sleep-wake device rule: ``_sleep_ns``,
 the exponential sleep; ``_settle``, an attempt's outcome and energy; and
@@ -60,7 +64,7 @@ from the device's PCG64 stream, and every value equals the scalar
 from __future__ import annotations
 
 from math import floor, inf, log
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .energy import EnergyProfile, energy_budget
 from .formulas import ContentionParams
@@ -97,10 +101,8 @@ class _Transmission:
     ap: int
     start: int
     end: int
-    # Every transmission overlapping this one; populated when either starts.
-    overlaps: list[_Transmission] = field(default_factory=list)
+    corrupted: bool = False     # an overlapping sender spoiled it at its AP
     ack_overlap: bool = False   # own AP transmitted an ACK over this
-    success: bool = False       # decided when the transmission ends
     ack_end: int = 0            # end of its ACK; 0 until a success
 
 
@@ -255,8 +257,8 @@ class Simulation:
                            now_ns + self.packet_ns)
         for other in self.on_air:
             if other.end > now_ns:
-                other.overlaps.append(tx)
-                tx.overlaps.append(other)
+                tx.corrupted = tx.corrupted or self._corrupts(other, tx)
+                other.corrupted = other.corrupted or self._corrupts(tx, other)
             elif other.ap == tx.ap and other.ack_end > now_ns:
                 tx.ack_overlap = True
         if listeners := self.dcf_sensing_device[dev.idx]:
@@ -268,29 +270,24 @@ class Simulation:
         self.queue.schedule(tx.end, TX_END, dev.idx)
         self._emit_trace(now_ns, "tx_start", dev.idx, "ap=", tx.ap)
 
-    def _evaluate_transmission(self, tx: _Transmission) -> bool:
-        """True when the AP decodes the packet (no qualifying interferer).
+    def _corrupts(self, src: _Transmission, victim: _Transmission) -> bool:
+        """True when ``src`` spoils the overlapping ``victim`` at its AP.
 
+        Only a sender that interferes at the victim's AP can spoil it, and
+        a hidden one (the victim's sender cannot sense it) always does.
         Mutually-sensing transmitters collide when their starts fall in the
         same vulnerability window: the carrier-sensing time, widened to one
         backoff slot between two DCF stations (slotted countdowns tie at
         slot granularity, which a continuous-time model cannot reproduce
         with the bare sensing window).
         """
-        dev = self.devices[tx.device]
-        interferes = self.interferes_at
-        senses = self.senses_device[tx.device]
-        for other in tx.overlaps:
-            if not interferes[other.device][tx.ap]:
-                continue
-            if not senses[other.device]:
-                return False  # hidden terminal
-            window = (self.slot_ns if dev.mac == DCF
-                      and self.devices[other.device].mac == DCF
-                      else self.ts_ns)
-            if abs(other.start - tx.start) < window:
-                return False
-        return not tx.ack_overlap
+        if not self.interferes_at[src.device][victim.ap]:
+            return False
+        if not self.senses_device[victim.device][src.device]:
+            return True  # hidden terminal
+        window = (self.slot_ns if self.devices[victim.device].mac == DCF
+                  and self.devices[src.device].mac == DCF else self.ts_ns)
+        return abs(src.start - victim.start) < window
 
     # -- sleep-wake device ---------------------------------------------
 
@@ -357,8 +354,8 @@ class Simulation:
     def _on_tx_end(self, event: Event) -> None:
         dev, now_ns = self.devices[event.device], event.time
         tx = dev.current_tx
-        tx.success = self._evaluate_transmission(tx)
-        if tx.success:
+        success = not (tx.corrupted or tx.ack_overlap)
+        if success:
             tx.ack_end = now_ns + self.ack_ns
             for other in self.on_air:
                 if other.ap == tx.ap and other.end > now_ns:
@@ -367,7 +364,7 @@ class Simulation:
                 self._interrupt_dcf_countdowns(
                     now_ns, tx.ack_end, listeners, self.ts_ns, dev)
         self.queue.schedule(now_ns + self.ack_ns,
-                            ACK_END if tx.success else TIMEOUT, dev.idx)
+                            ACK_END if success else TIMEOUT, dev.idx)
         self._emit_trace(now_ns, "tx_end", dev.idx, "")
 
     def _on_attempt_done(self, event: Event) -> None:
@@ -376,8 +373,7 @@ class Simulation:
         tx = dev.current_tx
         dev.current_tx = None
         self.on_air.remove(tx)
-        tx.overlaps.clear()  # so that refcounting frees overlapping records
-        success = tx.success
+        success = event.kind is ACK_END
         self._settle(dev, success, tx.start, now_ns)
         if dev.mac == LIFEADD:
             # dev.mark_rate, even after a death: an over-count goldens pin.

@@ -394,7 +394,7 @@ def lifeadd_pair_in_ack():
     assert (event.kind, event.device, event.time) == (
         EventKind.TX_END, a.idx, tx.end)
     sim._on_tx_end(event)
-    assert tx.success and tx.ack_end == tx.end + sim.ack_ns
+    assert tx.ack_end == tx.end + sim.ack_ns
     assert sim.on_air == [tx]
     return sim, a, b, tx
 
@@ -428,8 +428,14 @@ def test_key_up_during_an_ack_fails():
     # B wakes before it can hear the ACK, so it keys up into it.
     sim.queue.schedule(tx.end + sim.ts_ns - 1, EventKind.WAKE, b.idx)
     sim._on_wake(sim.queue.next())
+    ack_overlapped_attempt_times_out(sim, a, b, tx)
+
+
+def ack_overlapped_attempt_times_out(sim, a, b, tx):
+    """Check that B's attempt, keyed up under A's ACK, ends in a timeout
+    though no sender spoiled either record, running the rest by hand."""
     late = b.current_tx
-    assert late.ack_overlap and late.overlaps == [] and tx.overlaps == []
+    assert late.ack_overlap and not late.corrupted and not tx.corrupted
     finish_ack(sim, a, tx)
     assert sim.on_air == [late]
     event = sim.queue.next()
@@ -438,11 +444,119 @@ def test_key_up_during_an_ack_fails():
     assert (event.kind, event.device, event.time) == (
         EventKind.TX_END, b.idx, late.end)
     sim._on_tx_end(event)
-    assert not late.success and late.ack_end == 0
+    assert late.ack_end == 0
+    pending = [sim.queue.next() for _ in range(len(sim.queue))]
+    assert [(e.kind, e.time) for e in pending if e.device == b.idx] == [
+        (EventKind.TIMEOUT, late.end + sim.ack_ns)]
+
+
+@pytest.mark.parametrize("wake_first", [True, False])
+def test_key_up_at_the_instant_an_ack_begins_fails(wake_first):
+    """B keys up at the nanosecond A's data ends, at the same AP.  Ties
+    dequeue in scheduling order: B's wake, scheduled before A keys up,
+    runs before A's ``TX_END``, and after it otherwise.  Either way B's
+    data lies under A's ACK."""
+    sim = Simulation(single_ap_topology(2), [big_profile()] * 2,
+                     [11e6] * 2, ["lifeadd"] * 2, PARAMS, 1.0, 3,
+                     mode="realistic")
+    a, b = sim.devices
+    a.assigned_rate = b.assigned_rate = 100.0
+    if wake_first:
+        sim.queue.schedule(sim.packet_ns, EventKind.WAKE, b.idx)
+    sim._begin_transmission(a, 0)
+    if not wake_first:
+        sim.queue.schedule(sim.packet_ns, EventKind.WAKE, b.idx)
+    handlers = {EventKind.WAKE: sim._on_wake,
+                EventKind.TX_END: sim._on_tx_end}
+    order = []
+    for _ in range(2):
+        event = sim.queue.next()
+        assert event.time == sim.packet_ns
+        order.append(event.device)
+        handlers[event.kind](event)
+    assert order == ([b.idx, a.idx] if wake_first else [a.idx, b.idx])
+    tx = a.current_tx
+    assert b.current_tx.start == tx.end
+    assert tx.ack_end == tx.end + sim.ack_ns
+    ack_overlapped_attempt_times_out(sim, a, b, tx)
+
+
+# -- hidden terminals ---------------------------------------------------------
+
+
+def hidden_pair(simulation=Simulation, duration_s=1.0, trace=None):
+    """Two Life-Add devices on either side of one AP: both interfere at
+    it, and neither senses the other."""
+    topo = build_topology([[0.0, 0.0]], [[-60.0, 0.0], [60.0, 0.0]],
+                          Ranges(sensing=50.0, interference=100.0,
+                                 communication=100.0))
+    assert topo.interferes_at.all() and not topo.device_senses_device[0, 1]
+    sim = simulation(topo, [big_profile()] * 2, [11e6] * 2, [LIFEADD] * 2,
+                     PARAMS, duration_s, 3, mode="realistic", trace=trace)
+    return sim, sim.devices
+
+
+def test_hidden_terminals_spoil_each_other():
+    sim, (a, b) = hidden_pair()
+    a.assigned_rate = b.assigned_rate = 1.0  # no wake before both end
+    sim._begin_transmission(a, 0)
+    sim._begin_transmission(b, sim.packet_ns // 2)
+    first, second = a.current_tx, b.current_tx
+    assert sim._corrupts(first, second) and sim._corrupts(second, first)
+    handlers = {EventKind.TX_END: sim._on_tx_end,
+                EventKind.TIMEOUT: sim._on_attempt_done,
+                EventKind.ACK_END: sim._on_attempt_done}
+    ends = []
+    for _ in range(4):
+        event = sim.queue.next()
+        handlers[event.kind](event)
+        if event.kind is not EventKind.TX_END:
+            ends.append((event.kind, event.device))
+    assert ends == [(EventKind.TIMEOUT, a.idx), (EventKind.TIMEOUT, b.idx)]
+    assert (a.tx_collision, b.tx_collision) == (1, 1)
+
+
+class HiddenPairAttempts(Simulation):
+    """Both devices sleep 1 ms after each attempt; B's first sleep is half
+    a packet longer, so each attempt of A overlaps one of B's.  Records
+    every device's congestion factor after each attempt."""
+
+    SLEEP_NS = 1_000_000
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.factors = {dev.idx: [] for dev in self.devices}
+
+    def _sleep_ns(self, dev):
+        if dev.idx == 1 and dev.tx_success + dev.tx_collision == 0:
+            return self.SLEEP_NS + self.packet_ns // 2
+        return self.SLEEP_NS
+
+    def _on_attempt_done(self, event):
+        super()._on_attempt_done(event)
+        dev = self.devices[event.device]
+        self.factors[dev.idx].append(dev.congestion_factor)
+
+
+def test_congestion_factor_doubles_to_its_cap_under_hidden_terminals():
+    # Seven attempts each: A starts at 1 + 2k ms, B half a packet later.
+    trace = io.StringIO()
+    sim, (a, b) = hidden_pair(HiddenPairAttempts, 0.015, trace)
+    sim.run()
+    expected = [2, 4, 8, 16, 32, 32, 32]
+    assert sim.factors == {a.idx: expected, b.idx: expected}
+    traced = {a.idx: [], b.idx: []}
+    for line in trace.getvalue().splitlines():
+        _, kind, device, detail = line.split("\t")
+        assert kind != "ack"
+        if kind == "timeout":
+            traced[int(device)].append(int(detail.removeprefix("F=")))
+    assert traced == sim.factors
+    assert (a.tx_success, b.tx_success) == (0, 0)
 
 
 def test_records_off_the_air_are_freed_without_the_cycle_collector():
-    # Overlapping records refer to each other; leaving the air unlinks them.
+    # No record refers to another: each is freed when it leaves the air.
     sim = scenario_simulation("multi_ap_4x30", 0.5, "lifeadd")
     gc.collect()
     gc.disable()
@@ -453,9 +567,8 @@ def test_records_off_the_air_are_freed_without_the_cycle_collector():
     finally:
         gc.enable()
     assert sum(d.tx_collision for d in sim.devices) > 0
-    # Alive: the records on the air at the end and those they overlap.
-    assert {id(r) for r in records} == {
-        id(r) for tx in sim.on_air for r in [tx, *tx.overlaps]}
+    # Alive: exactly the records on the air at the end.
+    assert {id(r) for r in records} == {id(tx) for tx in sim.on_air}
 
 
 # -- the sleep-wake device rules shared by both engines ----------------------
