@@ -380,14 +380,20 @@ def test_dcf_interrupted_station_re_decides_at_its_old_end_time():
 # -- the ACK phase ------------------------------------------------------------
 
 
-def lifeadd_pair_in_ack():
-    """Two mutually sensing Life-Add devices, driven by hand: A has sent
-    alone and its AP's ACK has just begun."""
+def lifeadd_pair():
+    """Two mutually sensing Life-Add devices at one AP, driven by hand."""
     sim = Simulation(single_ap_topology(2), [big_profile()] * 2,
                      [11e6] * 2, ["lifeadd"] * 2, PARAMS, 1.0, 3,
                      mode="realistic")
     a, b = sim.devices
     a.assigned_rate = b.assigned_rate = 100.0
+    return sim, a, b
+
+
+def lifeadd_pair_in_ack():
+    """``lifeadd_pair`` where A has sent alone and its AP's ACK has just
+    begun."""
+    sim, a, b = lifeadd_pair()
     sim._begin_transmission(a, 0)
     tx = a.current_tx
     event = sim.queue.next()
@@ -456,11 +462,7 @@ def test_key_up_at_the_instant_an_ack_begins_fails(wake_first):
     dequeue in scheduling order: B's wake, scheduled before A keys up,
     runs before A's ``TX_END``, and after it otherwise.  Either way B's
     data lies under A's ACK."""
-    sim = Simulation(single_ap_topology(2), [big_profile()] * 2,
-                     [11e6] * 2, ["lifeadd"] * 2, PARAMS, 1.0, 3,
-                     mode="realistic")
-    a, b = sim.devices
-    a.assigned_rate = b.assigned_rate = 100.0
+    sim, a, b = lifeadd_pair()
     if wake_first:
         sim.queue.schedule(sim.packet_ns, EventKind.WAKE, b.idx)
     sim._begin_transmission(a, 0)
