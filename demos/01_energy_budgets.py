@@ -6,7 +6,7 @@ load.  The leftover, expressed as a fraction of the radio's on-power, is
 the target energy efficiency that drives the sleep-rate solver.
 """
 
-from lifeadd import (EnergyProfile, battery_level, energy_budget,
+from lifeadd import (EnergyProfile, drain_power, energy_budget,
                      joules_from_mah, max_feasible_lifetime)
 
 phone = EnergyProfile(
@@ -36,8 +36,11 @@ profile = EnergyProfile(phone.initial_energy, phone.battery_capacity,
                         phone.radio_on_power, phone.base_power,
                         phone.recharge_rate, target_lifetime=target)
 b = energy_budget(profile).efficiency
+drain = drain_power(profile, b)
 print()
-print(f"holding the radio on {100 * b:.1f}% of the time:")
+print(f"holding the radio on {100 * b:.1f}% of the time drains "
+      f"{drain:.3f} W net:")
 for t in (0.25, 0.5, 0.75, 1.0):
-    level = battery_level(profile, b * t * target, t * target)
+    # at the target, rounding may leave a hair below 0 J
+    level = max(profile.initial_energy - drain * t * target, 0.0)
     print(f"  at {t * target:7.0f} s the battery holds {level:8.1f} J")

@@ -18,8 +18,8 @@ Building blocks:
 __version__ = "0.1.0"
 
 from .energy import (DeviceBudget, EnergyProfile, InfeasibleLifetime,
-                     battery_level, energy_budget, joules_from_mah,
-                     max_feasible_lifetime)
+                     drain_power, energy_budget, joules_from_mah,
+                     max_feasible_lifetime, time_to_empty)
 from .formulas import (ContentionParams, RateVector, attempt_probability,
                        collision_probability, energy_slack,
                        log_throughput_utility, radio_on_fraction,

@@ -93,16 +93,27 @@ class DeviceBudget:
             raise ValueError("allowed_radio_power must be >= 0")
 
 
-def max_feasible_lifetime(profile: EnergyProfile) -> float:
-    """Longest lifetime attainable with the radio permanently off.
+def drain_power(profile: EnergyProfile, on_fraction: float) -> float:
+    """Net battery drain (W) with the radio on ``on_fraction`` of the time:
+    ``radio_on_power * on_fraction + base_power - recharge_rate``, in that
+    order, negative when the recharge outpaces the load."""
+    return (profile.radio_on_power * on_fraction + profile.base_power
+            - profile.recharge_rate)
 
-    The battery drains at ``base_power - recharge_rate``; when recharge
-    covers the base load the device can run forever.
-    """
-    net_drain = profile.base_power - profile.recharge_rate
-    if net_drain <= 0:
+
+def time_to_empty(energy: float, profile: EnergyProfile,
+                  on_fraction: float) -> float:
+    """Seconds until ``energy`` J run out at ``drain_power``; inf when the
+    drain is <= 0."""
+    net = drain_power(profile, on_fraction)
+    if net <= 0:
         return math.inf
-    return profile.initial_energy / net_drain
+    return energy / net
+
+
+def max_feasible_lifetime(profile: EnergyProfile) -> float:
+    """Longest lifetime attainable with the radio permanently off."""
+    return time_to_empty(profile.initial_energy, profile, 0.0)
 
 
 def energy_budget(profile: EnergyProfile) -> DeviceBudget:
@@ -111,6 +122,7 @@ def energy_budget(profile: EnergyProfile) -> DeviceBudget:
     The battery must last ``target_lifetime`` against the base load, so the
     radio may consume at most ``B/T + r - base`` on average.  A profile
     without a lifetime target gets efficiency UNCONSTRAINED_EFFICIENCY.
+    This inverts ``time_to_empty`` and keeps its own order of operations.
 
     Raises:
         InfeasibleLifetime: the target exceeds max_feasible_lifetime.
@@ -128,20 +140,3 @@ def energy_budget(profile: EnergyProfile) -> DeviceBudget:
     allowed = max(allowed, 0.0)  # guard rounding when target == t_max
     return DeviceBudget(allowed, allowed / profile.radio_on_power)
 
-
-def battery_level(profile: EnergyProfile, elapsed_radio_on: float,
-                  elapsed_total: float) -> float:
-    """Battery energy after ``elapsed_total`` seconds of operation.
-
-    ``elapsed_radio_on`` of those seconds had the radio awake.  The radio
-    draws nothing while asleep.  The result is clamped to [0, capacity];
-    power is piecewise constant so no finer integration is needed.
-    """
-    if elapsed_total < 0 or elapsed_radio_on < 0:
-        raise ValueError("elapsed times must be >= 0")
-    if elapsed_radio_on > elapsed_total:
-        raise ValueError("elapsed_radio_on cannot exceed elapsed_total")
-    level = (profile.initial_energy
-             + (profile.recharge_rate - profile.base_power) * elapsed_total
-             - profile.radio_on_power * elapsed_radio_on)
-    return min(max(level, 0.0), profile.battery_capacity)

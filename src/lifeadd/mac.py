@@ -63,10 +63,10 @@ from the device's PCG64 stream, and every value equals the scalar
 
 from __future__ import annotations
 
-from math import floor, inf, log
+from math import floor, log
 from dataclasses import dataclass
 
-from .energy import EnergyProfile, energy_budget
+from .energy import EnergyProfile, drain_power, energy_budget, time_to_empty
 from .formulas import ContentionParams
 from .kernel import (NS_PER_S, PRNG_ID, Event, EventKind, EventQueue,
                      RandomStream, ns_to_seconds, seconds_to_ns)
@@ -114,7 +114,7 @@ class _Device:
         self.idx = idx
         self.mac = mac
         self.profile = profile
-        self.drain_rate = profile.base_power - profile.recharge_rate
+        self.drain_rate = drain_power(profile, 0.0)
         if mac == DCF:  # idle-listening: always on
             self.drain_rate += profile.radio_on_power
         self.efficiency = efficiency
@@ -232,8 +232,7 @@ class Simulation:
         dev.on_time_ns += floor(on_seconds * NS_PER_S + 0.5)
         dev.battery -= dev.profile.radio_on_power * on_seconds
         if dev.battery <= 0.0:
-            total = (dev.profile.radio_on_power + dev.profile.base_power
-                     - dev.profile.recharge_rate)
+            total = drain_power(dev.profile, 1.0)
             if window_start_ns is not None and total > 0:
                 self._kill(dev, max(window_start_ns, now_ns - seconds_to_ns(
                     -dev.battery / total)))
@@ -262,9 +261,8 @@ class Simulation:
             elif other.ap == tx.ap and other.ack_end > now_ns:
                 tx.ack_overlap = True
         if listeners := self.dcf_sensing_device[dev.idx]:
-            self._interrupt_dcf_countdowns(
-                now_ns, tx.end, listeners,
-                self.slot_ns if dev.mac == DCF else self.ts_ns)
+            self._interrupt_dcf_countdowns(  # every listener is DCF
+                now_ns, tx.end, listeners, self._window_ns(dev.mac, DCF))
         self.on_air.append(tx)
         dev.current_tx = tx
         self.queue.schedule(tx.end, TX_END, dev.idx)
@@ -275,19 +273,23 @@ class Simulation:
 
         Only a sender that interferes at the victim's AP can spoil it, and
         a hidden one (the victim's sender cannot sense it) always does.
-        Mutually-sensing transmitters collide when their starts fall in the
-        same vulnerability window: the carrier-sensing time, widened to one
-        backoff slot between two DCF stations (slotted countdowns tie at
-        slot granularity, which a continuous-time model cannot reproduce
-        with the bare sensing window).
+        Mutually-sensing transmitters collide when their starts fall
+        within one vulnerability window (``_window_ns``).
         """
         if not self.interferes_at[src.device][victim.ap]:
             return False
         if not self.senses_device[victim.device][src.device]:
             return True  # hidden terminal
-        window = (self.slot_ns if self.devices[victim.device].mac == DCF
-                  and self.devices[src.device].mac == DCF else self.ts_ns)
-        return abs(src.start - victim.start) < window
+        return abs(src.start - victim.start) < self._window_ns(
+            self.devices[src.device].mac, self.devices[victim.device].mac)
+
+    def _window_ns(self, mac: str, other_mac: str) -> int:
+        """How far apart two senders can key up unaware of each other: the
+        sensing time, or one backoff slot between two DCF stations, whose
+        post-busy countdowns share slot boundaries and so tie at slot
+        granularity (which a continuous-time model cannot reproduce with
+        the bare sensing window)."""
+        return self.slot_ns if mac == DCF == other_mac else self.ts_ns
 
     # -- sleep-wake device ---------------------------------------------
 
@@ -409,10 +411,9 @@ class Simulation:
 
         The slots completed before the interruption are consumed from the
         residual, as in binary exponential backoff.  A countdown ending
-        inside the blind window keeps running (the station cannot detect
-        the new source in time) and will usually produce a collision; the
-        blind window is one slot between two DCF stations, since their
-        post-busy countdowns share slot boundaries.
+        inside the blind window (the source's vulnerability window,
+        ``_window_ns``) keeps running: the station cannot detect the new
+        source in time, and will usually produce a collision.
         """
         for other in listeners:
             if end_ns > other.busy_horizon_ns and other is not skip:
@@ -430,9 +431,9 @@ class Simulation:
             dev.backoff_end_ns = None
             self.queue.schedule(dev.busy_horizon_ns, BACKOFF_END, dev.idx)
             return
-        wait_ns = seconds_to_ns(DIFS_S + dev.residual_slots * SLOT_S)
         dev.countdown_start_ns = now_ns
-        dev.backoff_end_ns = now_ns + wait_ns
+        dev.backoff_end_ns = (now_ns + self.difs_ns
+                              + dev.residual_slots * self.slot_ns)
         self.queue.schedule(dev.backoff_end_ns, BACKOFF_END, dev.idx)
 
     def _on_backoff_end(self, event: Event) -> None:
@@ -578,11 +579,8 @@ class Simulation:
         if dev.death_ns is not None:
             return ns_to_seconds(dev.death_ns)
         # Survived the run: extrapolate from the measured mean drain.
-        net = (dev.profile.radio_on_power * on_fraction
-               + dev.profile.base_power - dev.profile.recharge_rate)
-        if net <= 0:
-            return inf
-        return ns_to_seconds(self.duration_ns) + dev.battery / net
+        return ns_to_seconds(self.duration_ns) + time_to_empty(
+            dev.battery, dev.profile, on_fraction)
 
 
 def renewal_violations(macs, topology: Topology) -> list[str]:

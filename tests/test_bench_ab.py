@@ -70,12 +70,51 @@ def test_smoke_pairs_alternate_and_fill_the_schema(tmp_path):
             assert 0 <= metric["pairs_won"] <= 2
             assert isinstance(metric["gain_shown"], bool)
             assert isinstance(metric["within_bound"], bool)
+            assert isinstance(metric["unresolved"], bool)
 
 
-def test_benchmark_digest_covers_the_reference_digests(tmp_path):
+def load_tool():
     spec = importlib.util.spec_from_file_location("bench_ab", TOOL)
     bench_ab = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_ab)
+    return bench_ab
+
+
+def synthetic_pairs(base, change):
+    def side(value):
+        return {"metrics": {"wall_s": {"value": value}}}
+    return [{"base": side(b), "change": side(c)}
+            for b, c in zip(base, change)]
+
+
+WALL = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}
+
+
+def test_a_base_spread_wider_than_the_bound_is_unresolved():
+    compare = load_tool().compare
+    # base quartiles 2 and 4 around a median of 3: an IQR of 2 > 0.25 * 3
+    wide = [1.0, 2.0, 3.0, 4.0, 5.0]
+    out = compare(WALL, synthetic_pairs(wide, [1.5, 2.5, 3.5, 4.5, 5.5]))
+    assert out["unresolved"] is True
+    # unless every change run beats every base run
+    out = compare(WALL, synthetic_pairs(wide, [0.1, 0.2, 0.3, 0.4, 0.9]))
+    assert out["unresolved"] is False
+    higher = dict(WALL, better="higher")
+    out = compare(higher, synthetic_pairs(wide, [5.1, 6.0, 7.0, 8.0, 9.0]))
+    assert out["unresolved"] is False
+
+
+def test_a_base_spread_within_the_bound_is_resolved():
+    compare = load_tool().compare
+    # IQR 0.2 <= 0.25 * 3.0, even with the change runs interleaved
+    narrow = [2.8, 2.9, 3.0, 3.1, 3.2]
+    out = compare(WALL, synthetic_pairs(narrow, [3.2, 2.8, 3.1, 2.9, 3.0]))
+    assert out["unresolved"] is False
+    assert out["within_bound"] is True
+
+
+def test_benchmark_digest_covers_the_reference_digests(tmp_path):
+    bench_ab = load_tool()
     base = copy_tree(tmp_path / "base")
     change = copy_tree(tmp_path / "change")
     same = bench_ab.benchmark_digest(base)

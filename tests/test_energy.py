@@ -3,8 +3,8 @@ import math
 import pytest
 
 from lifeadd.energy import (DeviceBudget, EnergyProfile, InfeasibleLifetime,
-                            battery_level, energy_budget, joules_from_mah,
-                            max_feasible_lifetime)
+                            drain_power, energy_budget, joules_from_mah,
+                            max_feasible_lifetime, time_to_empty)
 
 
 def profile(**kw):
@@ -33,6 +33,34 @@ def test_max_feasible_lifetime_recharge_covers_base():
 
 def test_max_feasible_lifetime_empty_battery():
     assert max_feasible_lifetime(profile(initial_energy=0.0)) == 0.0
+
+
+@pytest.mark.parametrize("on_fraction, drain, lifetime", [
+    (0.0, 0.2, 18000.0),    # 0.3 - 0.1
+    (1.0, 1.2, 3000.0),     # 1.0 + 0.3 - 0.1
+    (0.25, 0.45, 8000.0),   # 0.25 + 0.3 - 0.1
+])
+def test_drain_power_and_time_to_empty_hand_values(on_fraction, drain,
+                                                   lifetime):
+    p = profile()
+    assert drain_power(p, on_fraction) == pytest.approx(drain)
+    assert time_to_empty(3600.0, p, on_fraction) == pytest.approx(lifetime)
+
+
+def test_time_to_empty_when_recharge_meets_or_beats_base():
+    balanced = profile(recharge_rate=0.3)
+    assert drain_power(balanced, 0.0) == 0.0
+    assert time_to_empty(3600.0, balanced, 0.0) == math.inf
+    # the radio alone still drains a balanced battery
+    assert time_to_empty(3600.0, balanced, 1.0) == pytest.approx(3600.0)
+    surplus = profile(recharge_rate=0.5)
+    assert drain_power(surplus, 0.0) == pytest.approx(-0.2)
+    assert time_to_empty(3600.0, surplus, 0.0) == math.inf
+    assert time_to_empty(3600.0, surplus, 0.1) == math.inf
+
+
+def test_time_to_empty_of_an_empty_battery_is_zero():
+    assert time_to_empty(0.0, profile(), 0.25) == 0.0
 
 
 def test_energy_budget_hand_value():
@@ -69,34 +97,6 @@ def test_energy_budget_unconstrained_marker():
     assert budget.efficiency == 2.0
 
 
-def test_battery_level_boundaries():
-    p = profile()
-    assert battery_level(p, 0.0, 0.0) == p.initial_energy
-    # drain balanced by recharge
-    balanced = profile(recharge_rate=0.3)
-    assert battery_level(balanced, 0.0, 1000.0) == balanced.initial_energy
-
-
-def test_battery_level_hand_value():
-    p = EnergyProfile(initial_energy=100.0, battery_capacity=100.0,
-                      radio_on_power=1.0, base_power=1.0, recharge_rate=0.0)
-    assert battery_level(p, 25.0, 50.0) == pytest.approx(25.0)
-
-
-def test_battery_level_clamps():
-    p = EnergyProfile(initial_energy=100.0, battery_capacity=120.0,
-                      radio_on_power=1.0, base_power=0.1, recharge_rate=5.0)
-    assert battery_level(p, 0.0, 1000.0) == 120.0
-    drained = EnergyProfile(initial_energy=10.0, battery_capacity=120.0,
-                            radio_on_power=1.0, base_power=1.0)
-    assert battery_level(drained, 100.0, 100.0) == 0.0
-
-
-def test_battery_level_rejects_bad_times():
-    with pytest.raises(ValueError):
-        battery_level(profile(), 10.0, 5.0)
-
-
 def test_on_fraction_at_budget_depletes_exactly_at_target():
     # Holding the radio on for exactly the budgeted fraction (a real
     # fraction only when the budget is below 1) exhausts the battery at
@@ -105,8 +105,8 @@ def test_on_fraction_at_budget_depletes_exactly_at_target():
         p = profile(target_lifetime=target)
         b = energy_budget(p).efficiency
         assert b <= 1.0
-        level = battery_level(p, b * target, target)
-        assert level == pytest.approx(0.0, abs=1e-6)
+        assert time_to_empty(p.initial_energy, p, b) == pytest.approx(
+            target)
 
 
 def test_budget_monotonicity():

@@ -3,6 +3,7 @@ import gc
 import io
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lifeadd.mac
-from lifeadd.energy import EnergyProfile, energy_budget
+from lifeadd.energy import EnergyProfile, drain_power, energy_budget
 from lifeadd.formulas import ContentionParams, success_time_fraction
-from lifeadd.kernel import EventKind, EventQueue
+from lifeadd.kernel import EventKind, EventQueue, RandomStream
 from lifeadd.mac import (DCF, LIFEADD, MACS, REALISTIC, RENEWAL, Simulation,
                          run_config, select_rates)
 from lifeadd.report import emit_report
@@ -632,6 +633,21 @@ def test_the_rate_integral_stops_at_death(target):
     assert dead
     assert [(d.idx, d.rate_mark_ns - d.death_ns) for d in dead
             if d.rate_mark_ns > d.death_ns] == []
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "DCF ledger-order FOUND in CHANGES.md: a DCF station drains at "
+    "(base - recharge) + P_on, one ulp off drain_power(profile, 1.0) on 22 "
+    "of the 71 scenario profiles; ROADMAP item 15 aligns the order and "
+    "names the bytes that move"))
+def test_a_dcf_station_drains_at_drain_power_when_always_on():
+    scenarios = Path(__file__).resolve().parent.parent / "scenarios"
+    off = [(path.stem, i)
+           for path in sorted(scenarios.glob("*.json"))
+           for i, p in enumerate(parse_scenario(str(path)).profiles())
+           if lifeadd.mac._Device(0, DCF, p, 1.0, 1.0, RandomStream(0, 0))
+           .drain_rate != drain_power(p, 1.0)]
+    assert off == []
 
 
 def test_near_far_fairness_ordering():

@@ -21,7 +21,10 @@ metric (names, units, directions and bounds from the base tree's
 * ``gain_shown``: the change won at least nine tenths of the pairs and
   the medians differ by more than the base's interquartile range;
 * ``within_bound``: the change's median is not worse than the base's by
-  more than the metric's bound.
+  more than the metric's bound;
+* ``unresolved``: the base's interquartile range is wider than the bound
+  times its median, so the series cannot tell a change of the bound's
+  size from noise, unless every change run beat every base run.
 
 It also holds each side's failed and attempted operations, runs that gave
 no result line, ``src.lines``, commit and source digest, and the machine
@@ -104,13 +107,17 @@ def compare(metric: dict, pairs: list[dict]) -> dict:
            "bound": metric["bound"],
            **{side: spread(values[side]) for side in SIDES},
            "ratios": ratios, "pairs": len(ratios), "pairs_won": won,
-           "gain_shown": False, "within_bound": None}
+           "gain_shown": False, "within_bound": None, "unresolved": None}
     base, change = out["base"]["median"], out["change"]["median"]
     if base is not None:
         gap = change - base if higher else base - change  # > 0: better
-        out["gain_shown"] = (won >= 0.9 * len(ratios)
-                             and gap > out["base"]["q3"] - out["base"]["q1"])
+        iqr = out["base"]["q3"] - out["base"]["q1"]
+        out["gain_shown"] = won >= 0.9 * len(ratios) and gap > iqr
         out["within_bound"] = -gap <= metric["bound"] * abs(base)
+        separated = (min(values["change"]) > max(values["base"]) if higher
+                     else max(values["change"]) < min(values["base"]))
+        out["unresolved"] = (iqr > metric["bound"] * abs(base)
+                             and not separated)
     return out
 
 
