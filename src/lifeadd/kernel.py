@@ -62,7 +62,6 @@ class Event(NamedTuple):
     sequence: int
     kind: EventKind
     device: int | None = None
-    ap: int | None = None
 
 
 def seconds_to_ns(seconds: float) -> int:
@@ -82,13 +81,13 @@ class EventQueue:
         self._seq = 0
         self._now = 0
 
-    def schedule(self, time: int, kind: EventKind, device: int | None = None,
-                 ap: int | None = None) -> Event:
+    def schedule(self, time: int, kind: EventKind,
+                 device: int | None = None) -> Event:
         if time < self._now:
             raise CausalityViolation(
                 f"cannot schedule {kind} at {time} ns; clock is at {self._now} ns")
         # tuple.__new__ skips the NamedTuple's Python-level constructor.
-        event = tuple.__new__(Event, (time, self._seq, kind, device, ap))
+        event = tuple.__new__(Event, (time, self._seq, kind, device))
         self._seq += 1
         heappush(self._heap, event)
         return event

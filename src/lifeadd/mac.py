@@ -24,8 +24,9 @@
 In both engines every packet lasts the contention packet time.  The DCF
 baseline uses fixed 802.11b timing: a ``SLOT_S`` of 20 us, a ``DIFS_S``
 of 50 us, and a contention window from ``CW_MIN`` = 31 doubling to
-``CW_MAX`` = 1023.  Each AP beacons the rate plan every
-``BEACON_PERIOD_S`` = 0.1 s.
+``CW_MAX`` = 1023; a source keying up freezes a running countdown
+(``backoff_end_ns``) to the ``residual_slots`` whose end has not passed.
+The APs beacon together: one ``BEACON`` every ``BEACON_PERIOD_S`` = 0.1 s.
 
 A device never has more than one device event (``WAKE``, ``BACKOFF_END``,
 ``TX_END``, ``ACK_END`` or ``TIMEOUT``) outstanding; the handlers rely on
@@ -120,10 +121,9 @@ class _Device:
         self.efficiency = efficiency
         self.alpha = alpha
         self.stream = stream
-        self.alive = True
         self.battery = profile.initial_energy
         self.last_drain_ns = 0
-        self.death_ns: int | None = None
+        self.death_ns: int | None = None  # None while alive
         # sleep-wake state
         self.assigned_rate = 0.0
         self.initial_rate = 0.0
@@ -132,7 +132,6 @@ class _Device:
         # DCF state
         self.cw = 0
         self.residual_slots = 0
-        self.countdown_start_ns = 0
         self.busy_horizon_ns = 0    # latest end of any source it hears
         # End of the running countdown; None while the station waits for
         # a busy channel to clear, after an interruption, or transmits.
@@ -205,7 +204,7 @@ class Simulation:
     def _drain(self, dev: _Device, now_ns: int,
                on_seconds: float | None = None,
                window_start_ns: int | None = None) -> bool:
-        """The one energy-ledger step; returns ``dev.alive``.
+        """The one energy-ledger step; returns whether ``dev`` is alive.
 
         Drains base power less recharge from the last update to
         ``now_ns``, clamped at the capacity; a level that reaches 0 kills
@@ -215,7 +214,7 @@ class Simulation:
         window, where base and radio together cross zero if
         ``window_start_ns`` is given, else at ``now_ns``.
         """
-        if not dev.alive:
+        if dev.death_ns is not None:
             return False
         if now_ns > dev.last_drain_ns:
             rate = dev.drain_rate
@@ -245,7 +244,6 @@ class Simulation:
         dev.death_ns = death_ns
         dev.mark_rate(death_ns)
         dev.battery = 0.0
-        dev.alive = False
         self.membership_dirty = True
         self._emit_trace(death_ns, "dead", dev.idx, "")
 
@@ -332,7 +330,7 @@ class Simulation:
 
     def _sleep_through(self, dev: _Device, from_ns: int,
                        until_ns: int) -> bool:
-        """The busy-window rule (module docstring); returns ``dev.alive``."""
+        """The busy-window rule (module docstring); True if ``dev`` lives."""
         wakes = 1  # the one that found the channel busy
         if until_ns > from_ns:
             wakes += dev.stream.poisson(
@@ -387,7 +385,7 @@ class Simulation:
                     dev.congestion_factor * 2, MAX_CONGESTION_FACTOR)
             self._emit_trace(now_ns, "ack" if success else "timeout",
                              dev.idx, "F=", dev.congestion_factor)
-            if dev.alive:
+            if dev.death_ns is None:
                 self.queue.schedule(now_ns + self._sleep_ns(dev), WAKE,
                                     dev.idx)
         else:
@@ -398,7 +396,7 @@ class Simulation:
             dev.residual_slots = dev.stream.integers(0, dev.cw)
             self._emit_trace(now_ns, "ack" if success else "timeout",
                              dev.idx, "cw=", dev.cw)
-            if dev.alive:
+            if dev.death_ns is None:
                 self._dcf_decide(dev, now_ns)
 
     # -- DCF device -------------------------------------------------------
@@ -409,21 +407,20 @@ class Simulation:
         """Raise the DCF listeners' busy horizons to a keyed-up source's end
         and freeze their countdowns; ``skip`` is an ACK's own station.
 
-        The slots completed before the interruption are consumed from the
-        residual, as in binary exponential backoff.  A countdown ending
-        inside the blind window (the source's vulnerability window,
-        ``_window_ns``) keeps running: the station cannot detect the new
-        source in time, and will usually produce a collision.
+        A frozen countdown keeps the slots whose end has not yet passed, as
+        in binary exponential backoff.  A countdown ending inside the blind
+        window (the source's vulnerability window, ``_window_ns``) keeps
+        running: the station cannot detect the new source in time, and will
+        usually produce a collision.
         """
         for other in listeners:
             if end_ns > other.busy_horizon_ns and other is not skip:
                 other.busy_horizon_ns = end_ns
-            if (not other.alive or other.backoff_end_ns is None
+            if (other.death_ns is not None or other.backoff_end_ns is None
                     or other.backoff_end_ns < now_ns + blind_ns):
                 continue
-            elapsed = now_ns - (other.countdown_start_ns + self.difs_ns)
-            consumed = max(0, elapsed) // self.slot_ns
-            other.residual_slots = max(0, other.residual_slots - consumed)
+            other.residual_slots = min(other.residual_slots, -(
+                (now_ns - other.backoff_end_ns) // self.slot_ns))
             other.backoff_end_ns = None
 
     def _dcf_decide(self, dev: _Device, now_ns: int) -> None:
@@ -431,7 +428,6 @@ class Simulation:
             dev.backoff_end_ns = None
             self.queue.schedule(dev.busy_horizon_ns, BACKOFF_END, dev.idx)
             return
-        dev.countdown_start_ns = now_ns
         dev.backoff_end_ns = (now_ns + self.difs_ns
                               + dev.residual_slots * self.slot_ns)
         self.queue.schedule(dev.backoff_end_ns, BACKOFF_END, dev.idx)
@@ -451,34 +447,34 @@ class Simulation:
 
     def _plan_rates(self) -> None:
         """Solve the rate plan over the alive Life-Add devices."""
-        include = [d.alive and d.mac == LIFEADD for d in self.devices]
-        self.planned_rates, self.ap_plans = select_rates(
+        include = [d.death_ns is None and d.mac == LIFEADD
+                   for d in self.devices]
+        self.planned_rates, _ = select_rates(
             self.topology, [d.efficiency for d in self.devices], self.params,
             include)
         self.membership_dirty = False
 
     def _on_beacon(self, event: Event) -> None:
-        """Re-plan after a death, then hand out the plan to the AP's devices.
+        """Every AP's beacon: re-plan after a death, then hand out the plan.
 
-        Every AP's beacons of one period share a timestamp and run back to
-        back, so each device adopts its new rate before any other event.
+        The plan is global, a beacon takes no airtime and every device hears
+        some AP (``Topology`` checks it), so one event stands for them all.
         """
-        ap, now_ns = event.ap, event.time
+        now_ns = event.time
         if self.membership_dirty:
             self._plan_rates()
-        for d in self.topology.devices_heard_by(ap):
-            dev = self.devices[d]
-            if (dev.alive and dev.mac == LIFEADD
-                    and self.planned_rates[d] != dev.assigned_rate):
+        for dev, rate in zip(self.devices, self.planned_rates):
+            if (dev.death_ns is None and dev.mac == LIFEADD
+                    and rate != dev.assigned_rate):
                 dev.mark_rate(now_ns)
-                dev.assigned_rate = self.planned_rates[d]
-        self.queue.schedule(now_ns + self.beacon_period_ns, BEACON, ap=ap)
+                dev.assigned_rate = rate
+        self.queue.schedule(now_ns + self.beacon_period_ns, BEACON)
 
     # -- renewal-mode cycle engine ----------------------------------------
 
     def _on_cycle_start(self, event: Event) -> None:
         now_ns = event.time
-        alive = [d for d in self.devices if d.alive]
+        alive = [d for d in self.devices if d.death_ns is None]
         if not alive:
             return
         wakes = [now_ns + self._sleep_ns(d) for d in alive]
@@ -499,7 +495,8 @@ class Simulation:
                 self._drain(d, boundary)
             else:  # the window opens at the wake itself (module docstring)
                 self._sleep_through(d, wake_ns, boundary)
-        if boundary < self.duration_ns and any(d.alive for d in self.devices):
+        if boundary < self.duration_ns and any(
+                d.death_ns is None for d in self.devices):
             self.queue.schedule(boundary, CYCLE_START)
 
     # -- main loop ---------------------------------------------------------
@@ -524,9 +521,8 @@ class Simulation:
                     dev.cw = CW_MIN
                     dev.residual_slots = dev.stream.integers(0, dev.cw)
                     self._dcf_decide(dev, 0)
-            for ap in range(self.topology.n_aps):
-                if self.ap_plans[ap] is not None:
-                    self.queue.schedule(self.beacon_period_ns, BEACON, ap=ap)
+            if LIFEADD in (dev.mac for dev in self.devices):
+                self.queue.schedule(self.beacon_period_ns, BEACON)
 
         handlers = {WAKE: self._on_wake, TX_END: self._on_tx_end,
                     ACK_END: self._on_attempt_done,

@@ -1,9 +1,14 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from lifeadd import __version__
 from lifeadd.cli import main
 
 VALIDATION = "scenarios/single_ap_validation.json"
@@ -275,3 +280,24 @@ def test_simulate_override_breaking_renewal_rule_fails_before_running(
     assert error["type"] == "invalid_input"
     assert message in error["message"]
     assert list(tmp_path.iterdir()) == []
+
+
+def run_module(*argv):
+    """``python -m lifeadd`` in a fresh interpreter, from the repo root."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    return subprocess.run([sys.executable, "-m", "lifeadd", *argv], cwd=root,
+                          env=env, capture_output=True, text=True, check=False,
+                          timeout=120)
+
+
+def test_python_dash_m_runs_the_command_line():
+    version = run_module("--version")
+    assert (version.returncode, version.stdout) == (0, f"{__version__}\n")
+    solve = run_module("solve", "--scenario", NEAR_FAR)
+    assert solve.stderr == ""
+    digest = hashlib.sha256(
+        f"exit={solve.returncode}\n{solve.stdout}".encode()).hexdigest()
+    golden = json.loads(Path(__file__).with_name(
+        "golden_digests.json").read_text())
+    assert digest == golden["solve/near_far_pair"]

@@ -24,14 +24,14 @@ def test_simultaneous_mixed_kinds_pop_in_scheduling_order():
     # EventKind is not orderable: a comparison that reached the kind raises.
     q = EventQueue()
     kinds = [k for k in EventKind if k is not EventKind.END_OF_SIM]
-    scheduled = [q.schedule(7, kinds[i % len(kinds)], device=i, ap=i % 4)
+    scheduled = [q.schedule(7, kinds[i % len(kinds)], device=i)
                  for i in range(1000)]
     popped = [q.next() for _ in range(1000)]
     assert popped == scheduled
     assert [e.sequence for e in popped] == list(range(1000))
     last = popped[-1]
-    assert (last.time, last.sequence, last.kind, last.device, last.ap) == (
-        7, 999, kinds[999 % len(kinds)], 999, 3)
+    assert (last.time, last.sequence, last.kind, last.device) == (
+        7, 999, kinds[999 % len(kinds)], 999)
     assert q.next().kind is EventKind.END_OF_SIM
 
 
@@ -60,11 +60,11 @@ def test_scheduling_in_the_past_is_rejected():
 
 def test_popped_events_are_event_tuples():
     q = EventQueue()
-    q.schedule(3, EventKind.TX_END, 2, ap=1)
+    q.schedule(3, EventKind.TX_END, 2)
     event = q.next()
     assert type(event) is Event
-    assert event._fields == ("time", "sequence", "kind", "device", "ap")
-    assert event == Event(3, 0, EventKind.TX_END, 2, 1)
+    assert event._fields == ("time", "sequence", "kind", "device")
+    assert event == Event(3, 0, EventKind.TX_END, 2)
 
 
 @pytest.mark.parametrize("seconds", [2.5e-6, np.float64(2.5e-6)])

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 import lifeadd.mac
 from lifeadd.energy import EnergyProfile, drain_power, energy_budget
 from lifeadd.formulas import ContentionParams, success_time_fraction
-from lifeadd.kernel import EventKind, EventQueue, RandomStream
-from lifeadd.mac import (DCF, LIFEADD, MACS, REALISTIC, RENEWAL, Simulation,
-                         run_config, select_rates)
+from lifeadd.kernel import NS_PER_S, EventKind, EventQueue, RandomStream
+from lifeadd.mac import (CW_MAX, DCF, LIFEADD, MACS, REALISTIC, RENEWAL,
+                         Simulation, run_config, select_rates)
 from lifeadd.report import emit_report
 from lifeadd.scenario import parse_scenario
 from lifeadd.solver import assign_rates, optimal_total_rate
@@ -273,11 +273,68 @@ def test_beacon_recompute_after_death_raises_survivor_rate():
                      ["lifeadd", "lifeadd"], PARAMS, 8.0, 5,
                      mode="realistic")
     sim.run()
-    assert not sim.devices[0].alive
+    assert sim.devices[0].death_ns is not None
     two_party = 0.5 * optimal_total_rate(2, PARAMS)
     solo = optimal_total_rate(1, PARAMS)
     assert sim.devices[0].initial_rate == pytest.approx(two_party)
     assert sim.devices[1].assigned_rate == pytest.approx(solo)
+
+
+class RateWatch(EventQueue):
+    """Records each event a run handles, with every device's assigned rate
+    and liveness after it."""
+
+    def __init__(self, sim):
+        super().__init__()
+        self.sim = sim
+        self.handled = []   # [kind, time, rates, dead] per handled event
+
+    def next(self):
+        if self.handled:
+            self.handled[-1][2:] = [
+                [d.assigned_rate for d in self.sim.devices],
+                [d.death_ns is not None for d in self.sim.devices]]
+        event = super().next()
+        if event.time < self.sim.duration_ns:
+            self.handled.append([event.kind, event.time, None, None])
+        return event
+
+
+def test_a_replan_reaches_devices_the_dead_ones_ap_cannot_hear():
+    """``near_far_pair``: AP 0 hears only device 0, device 1 only AP 1.
+    Device 0, its battery cut, dies within seconds; device 1 adopts the
+    survivors' plan at the first beacon after the death, and every rate
+    changes only at a beacon, one per period."""
+    cfg = parse_scenario("scenarios/near_far_pair.json")
+    topo = cfg.build_topology()
+    assert [topo.devices_heard_by(ap) for ap in (0, 1)] == [[0], [0, 1]]
+    profiles = cfg.profiles()
+    profiles[0] = dataclasses.replace(profiles[0], initial_energy=1.0,
+                                      battery_capacity=1.0, recharge_rate=0.0)
+    sim = Simulation(topo, profiles, cfg.alphas(), [LIFEADD] * 2,
+                     cfg.contention, 5.0, 17, mode=REALISTIC)
+    sim.queue = watch = RateWatch(sim)
+    sim.run()
+    assert sim.devices[0].death_ns < 4 * NS_PER_S
+
+    period = sim.beacon_period_ns
+    beacons = [time for kind, time, _, _ in watch.handled
+               if kind is EventKind.BEACON]
+    assert beacons == list(range(period, sim.duration_ns, period))
+    survivors, _ = select_rates(topo, cfg.efficiencies(), cfg.contention,
+                                [False, True])
+    initial = [d.initial_rate for d in sim.devices]
+    assert survivors[1] != initial[1]
+    changes, rates = [], initial
+    for kind, time, after, _ in watch.handled:
+        if after != rates:
+            changes.append((kind, time, after[1]))
+            rates = after
+    # The first beacon after the event that found device 0 dead.
+    found = next(i for i, (*_, dead) in enumerate(watch.handled) if dead[0])
+    replan = next(time for kind, time, _, _ in watch.handled[found:]
+                  if kind is EventKind.BEACON)
+    assert changes == [(EventKind.BEACON, replan, survivors[1])]
 
 
 # -- DCF baseline -------------------------------------------------------------
@@ -376,6 +433,44 @@ def test_dcf_interrupted_station_re_decides_at_its_old_end_time():
     assert [(e.kind, e.device, e.time) for e in pending] == [
         (EventKind.TX_END, sender.idx, busy_until),
         (EventKind.BACKOFF_END, waiting.idx, busy_until)]
+
+
+def counted_residual(residual, start_ns, now_ns, difs_ns, slot_ns):
+    """The freeze rule when a countdown kept its start: the slots completed
+    after DIFS are consumed from the residual."""
+    return max(0, residual - max(0, now_ns - start_ns - difs_ns) // slot_ns)
+
+
+def test_a_frozen_countdown_keeps_the_slots_counted_from_its_start():
+    """Every residual 0..CW_MAX, frozen inside DIFS, on a slot boundary,
+    one ns either side of it, and at the last ns before the blind window,
+    for both blind windows and a start on and off the slot grid: 57,236
+    freezes."""
+    sim, (waiting, _) = dcf_pair()
+    difs, slot = sim.difs_ns, sim.slot_ns
+    checked = 0
+    for start in (0, 1_234_567):
+        for residual in range(CW_MAX + 1):
+            end = start + difs + residual * slot
+            boundaries = {start + difs + k * slot for k in
+                          (0, 1, residual // 2, residual - 1, residual)}
+            for blind in (slot, sim.ts_ns):
+                instants = {start, start + difs // 2, start + difs - 1,
+                            end - blind}
+                instants.update(b + e for b in boundaries for e in (-1, 0, 1))
+                for now in sorted(instants):
+                    if not start <= now <= end - blind:
+                        continue  # not frozen: runs into the blind window
+                    waiting.residual_slots = residual
+                    waiting.backoff_end_ns = end
+                    sim._interrupt_dcf_countdowns(now, now + sim.packet_ns,
+                                                  [waiting], blind)
+                    assert waiting.backoff_end_ns is None
+                    assert waiting.residual_slots == counted_residual(
+                        residual, start, now, difs, slot), (start, residual,
+                                                            blind, now)
+                    checked += 1
+    assert checked == 57_236
 
 
 # -- the ACK phase ------------------------------------------------------------
@@ -629,7 +724,7 @@ def test_the_rate_integral_stops_at_death(target):
                      cfg.device_macs(topo), cfg.contention, cfg.duration_s,
                      11, mode=REALISTIC)
     sim.run()
-    dead = [d for d in sim.devices if not d.alive]
+    dead = [d for d in sim.devices if d.death_ns is not None]
     assert dead
     assert [(d.idx, d.rate_mark_ns - d.death_ns) for d in dead
             if d.rate_mark_ns > d.death_ns] == []
@@ -781,7 +876,7 @@ def test_only_drain_and_kill_write_the_ledger(monkeypatch, name, duration_s,
     sim, = made
     assert sim.entries > len(sim.devices)
     if target is not None:
-        assert not any(d.alive for d in sim.devices)
+        assert None not in [d.death_ns for d in sim.devices]
 
 
 def ledger_device(profile):
@@ -797,8 +892,7 @@ def test_a_drain_that_empties_the_battery_kills_where_it_crossed():
     assert sim._drain(dev, 1_000_000_000)
     assert dev.battery == 0.5 and dev.last_drain_ns == 1_000_000_000
     assert not sim._drain(dev, 4_000_000_000, 1.0)
-    assert (dev.alive, dev.death_ns, dev.battery) == (False, 2_000_000_000,
-                                                      0.0)
+    assert (dev.death_ns, dev.battery) == (2_000_000_000, 0.0)
     assert dev.on_time_ns == 0  # a dead device is charged nothing
     assert not sim._drain(dev, 5_000_000_000)
     assert dev.death_ns == 2_000_000_000
@@ -815,7 +909,7 @@ def test_a_charge_that_empties_the_battery_dies_inside_its_window(
         base_power=0.5))
     assert sim._drain(dev, 2_000_000_000)
     assert not sim._drain(dev, 3_000_000_000, 1.0, window_start_ns)
-    assert (dev.alive, dev.death_ns, dev.battery) == (False, death_ns, 0.0)
+    assert (dev.death_ns, dev.battery) == (death_ns, 0.0)
     assert dev.on_time_ns == 1_000_000_000
 
 
@@ -825,8 +919,8 @@ def test_only_a_charge_kills_an_empty_device_without_net_drain():
         base_power=0.2, recharge_rate=0.2))
     assert (dev.battery, dev.drain_rate) == (0.0, 0.0)
     assert sim._drain(dev, 1_000_000_000)
-    assert (dev.alive, dev.battery, dev.last_drain_ns) == (True, 0.0,
-                                                           1_000_000_000)
+    assert (dev.death_ns, dev.battery, dev.last_drain_ns) == (
+        None, 0.0, 1_000_000_000)
     assert not sim._drain(dev, 2_000_000_000, 0.0)
     assert dev.death_ns == 2_000_000_000
 
@@ -851,14 +945,14 @@ class OneEventPerDevice(EventQueue):
         self.outstanding = Counter()
         self.device_events = 0
 
-    def schedule(self, time, kind, device=None, ap=None):
+    def schedule(self, time, kind, device=None):
         if kind in DEVICE_EVENTS:
             assert self.outstanding[device] == 0, (
                 f"device {device}: {kind} at {time} ns while another device "
                 "event is outstanding")
             self.outstanding[device] += 1
             self.device_events += 1
-        return super().schedule(time, kind, device, ap)
+        return super().schedule(time, kind, device)
 
     def next(self):
         event = super().next()
@@ -900,7 +994,8 @@ def test_one_device_event_outstanding_through_deaths():
     sim = Simulation(single_ap_topology(4), profiles, [11e6] * 4,
                      macs, PARAMS, 5.0, 3, mode="realistic")
     rep = checked_run(sim)
-    assert [d.alive for d in sim.devices] == [False, False, True, True]
+    alive = [d.death_ns is None for d in sim.devices]
+    assert alive == [False, False, True, True]
     assert all(row.tx_success > 0 for row in rep.devices)
 
 
